@@ -9,8 +9,8 @@ and records three kinds of numbers, appended per PR to a committed
   runs.  CI regenerates these and fails on any drift against the last
   committed entry (a changed count means changed protocol behaviour,
   not a slower runner).
-- **perf** — events/sec through the simulator core (serial and batched
-  kernels), events/sec through the engine driver, packets/sec with
+- **perf** — events/sec through the simulator core, events/sec through
+  the engine driver, packets/sec with
   health tracing on and off, packets/sec with the ``repro.obs``
   span-tracing plane attached and detached, and scenario fork latency
   from the PR 5 snapshot machinery.
@@ -35,17 +35,19 @@ CI gates (``--check``):
 - between the last two *committed* entries (same machine, same
   process, so runner-independent), ``engine_events_per_sec`` may not
   regress below :data:`OVERHEAD_GATE`;
-- a committed entry carrying the batched column must show the batched
-  kernel at least matching the serial one in its own process;
 - (schema 3) the partitioned engine's parallel run must stay
   byte-identical to its serial reference, and ``partition_speedup``
   must be >= 1.0x serial *when the host has >= 2 CPUs* — single-core
   runners record the honest sub-1.0 ratio and skip the gate.
 
 The engine/sim adapter ratio is still printed for trend-watching but
-no longer gated: the batched-kernel work moves ``sim_events_per_sec``
-independently of the engines, which would trip any ratio gate without
-an engine regression existing.
+not gated: kernel work moves ``sim_events_per_sec`` independently of
+the engines, which would trip any ratio gate without an engine
+regression existing.
+
+Older committed entries also carry ``sim_events_per_sec_batched`` and
+the ``sim_batched_*`` stages, measured on a second event kernel that
+has since been deleted; they stay as history and are not gated.
 
 Usage::
 
@@ -78,8 +80,7 @@ PPS_PINGS = 400
 PPS_HORIZON = 120.0
 FORK_ROUNDS = 20
 
-#: Self-rescheduling ticks for the serial kernel bench and same-tick
-#: bulk actions for the batched kernel bench.
+#: Self-rescheduling ticks for the simulator kernel bench.
 SIM_TICKS = 50_000
 SIM_REPS = 5
 
@@ -103,7 +104,8 @@ def _pps_spec():
 
 def _run_engine(spec, with_health, with_obs=False):
     from repro.telemetry.health import ProtocolHealth
-    from repro.wire.driver import _run_engine_spec
+    from repro.wire.driver import EngineDriver
+    from repro.wire.topo import build_engine_world
 
     health = ProtocolHealth() if with_health else None
     obs = None
@@ -112,7 +114,11 @@ def _run_engine(spec, with_health, with_obs=False):
 
         obs = ObsPlane()
     start = time.perf_counter()
-    driver = _run_engine_spec(spec, health=health, obs=obs)
+    # Built by hand, not through repro.backend.run: the facade always
+    # attaches a health hub, and "tracing off" must mean none.
+    driver = EngineDriver(build_engine_world(spec.topology), health=health, obs=obs)
+    driver.install_spec(spec)
+    driver.run(until=spec.horizon)
     elapsed = time.perf_counter() - start
     return driver, elapsed, obs
 
@@ -189,42 +195,6 @@ def _sim_events_per_sec(plane):
     return best_rate, {"sim_serial_run": best_elapsed}
 
 
-def _sim_events_per_sec_batched(plane):
-    """Batched kernel: one bulk same-tick storm drained by a single
-    :meth:`Simulator.run_batched` sweep.  The measured window includes
-    the scheduling cost (``schedule_bulk``), so the number is the
-    honest end-to-end cost per pre-planned event."""
-    from repro.netsim import Simulator
-
-    best_rate = 0.0
-    best_stages = {"sim_batched_schedule": 0.0, "sim_batched_drain": 0.0}
-    for _ in range(SIM_REPS):
-        gc.collect()
-        sim = Simulator(seed=1)
-        count = [0]
-
-        def tick():
-            count[0] += 1
-
-        start = time.perf_counter()
-        sim.schedule_bulk(0.001, [tick] * SIM_TICKS)
-        scheduled = time.perf_counter()
-        sim.run_batched()
-        end = time.perf_counter()
-        rate = count[0] / (end - start)
-        if rate > best_rate:
-            best_rate = rate
-            best_stages = {
-                "sim_batched_schedule": scheduled - start,
-                "sim_batched_drain": end - scheduled,
-            }
-    plane.time_stage("sim-bench", "batched-schedule",
-                     best_stages["sim_batched_schedule"])
-    plane.time_stage("sim-bench", "batched-drain",
-                     best_stages["sim_batched_drain"])
-    return best_rate, best_stages
-
-
 def _fork_latency_ms():
     from repro.scenario.spec import ScenarioSpec
     from repro.scenario.session import Session
@@ -252,7 +222,6 @@ def measure() -> dict:
     # Kernel microbenches first, on a clean allocator (see module
     # docstring for why the old run-last ordering lied).
     sim_rate, sim_stages = _sim_events_per_sec(plane)
-    batched_rate, batched_stages = _sim_events_per_sec_batched(plane)
 
     walkthrough, walk_elapsed, _ = _run_engine(figure1_walkthrough_spec(), False)
     _, fig_obs_elapsed, fig_obs = _run_engine(
@@ -278,7 +247,6 @@ def measure() -> dict:
     }
     perf = {
         "sim_events_per_sec": round(sim_rate),
-        "sim_events_per_sec_batched": round(batched_rate),
         "engine_events_per_sec": round(len(walkthrough.events) / walk_elapsed),
         "engine_pps_tracing_off": round(storm_off.datagrams_delivered / off_elapsed),
         "engine_pps_tracing_on": round(storm_on.datagrams_delivered / on_elapsed),
@@ -293,7 +261,6 @@ def measure() -> dict:
     }
     stages = {
         **sim_stages,
-        **batched_stages,
         **part_stages,
         "engine_walkthrough": walk_elapsed,
         "engine_storm_tracing_off": off_elapsed,
@@ -336,8 +303,7 @@ def render(entry: dict) -> str:
     det, perf = entry["deterministic"], entry["perf"]
     return "\n".join([
         "engine perf trajectory",
-        f"  simulator core: {perf['sim_events_per_sec']} events/s serial, "
-        f"{perf['sim_events_per_sec_batched']} events/s batched",
+        f"  simulator core: {perf['sim_events_per_sec']} events/s",
         f"  figure-1 walkthrough: {det['figure1_engine_events']} events, "
         f"{det['figure1_engine_datagrams']} datagrams "
         f"({perf['engine_events_per_sec']} events/s)",
@@ -409,15 +375,6 @@ def _check(entry: dict) -> int:
                   f"{last.get('pr')} ({last_engine})", file=sys.stderr)
             return 1
         print("committed engine throughput: OK")
-
-    batched = last["perf"].get("sim_events_per_sec_batched")
-    if batched is not None and batched < last["perf"]["sim_events_per_sec"]:
-        print(f"FAIL: committed batched kernel ({batched}) slower than "
-              f"the serial kernel ({last['perf']['sim_events_per_sec']}) "
-              f"in its own process (pr={last.get('pr')})", file=sys.stderr)
-        return 1
-    if batched is not None:
-        print("committed batched kernel: OK")
 
     # Partitioned-engine columns (schema 3).  Byte-identity must hold
     # everywhere; the speedup gate only applies where parallelism is

@@ -28,7 +28,7 @@
     python -m repro top [source] [--backend sim|driver|live] [--dag]
                                        # protocol health + runtime stats
                                        # panel; tails live snapshot streams
-    python -m repro run [scenario] [--backend sim|batched|engine|live|partitioned]
+    python -m repro run [scenario] [--backend sim|engine|live|partitioned]
                                        # any scenario on any execution
                                        # backend, one uniform result
 """

@@ -1,12 +1,10 @@
 """One front door for every execution backend.
 
-The repo grew five ways to execute a :class:`~repro.scenario.spec.ScenarioSpec`:
+There are four ways to execute a :class:`~repro.scenario.spec.ScenarioSpec`:
 
 ==============  ========================================================
 ``sim``         the discrete-event :class:`~repro.netsim.simulator.Simulator`
                 via :class:`~repro.scenario.session.Session` (the reference)
-``batched``     the same simulator with the batched event kernel
-                (same-tick sweeps + bulk scheduling) enabled
 ``engine``      the sans-io protocol engines on the deterministic
                 in-process :class:`~repro.wire.driver.EngineDriver`
 ``live``        the same engines over real loopback UDP sockets against
@@ -17,10 +15,8 @@ The repo grew five ways to execute a :class:`~repro.scenario.spec.ScenarioSpec`:
 
 :func:`run` executes any of them behind one signature and returns a
 uniform :class:`RunResult` — health summary, counters, a trace handle
-and the backend-native result object for anything deeper.  The
-per-backend entry points (``run_engine_spec``, ``run_live_spec``) still
-work but emit :class:`DeprecationWarning`; they will keep working for
-one release.
+and the backend-native result object for anything deeper.  It is the
+only public way to run a spec.
 
 ``python -m repro run <scenario> --backend <name>`` is the CLI face of
 the same facade.
@@ -35,7 +31,7 @@ from typing import Dict, Optional
 from repro.scenario.spec import ScenarioSpec
 
 #: Every backend :func:`run` accepts.
-BACKENDS = ("sim", "batched", "engine", "live", "partitioned")
+BACKENDS = ("sim", "engine", "live", "partitioned")
 
 
 @dataclass
@@ -43,7 +39,7 @@ class RunResult:
     """What every backend hands back: one uniform result surface.
 
     ``trace`` is a backend-appropriate handle — the simulator's
-    :class:`~repro.netsim.trace.Tracer` for ``sim``/``batched``, the
+    :class:`~repro.netsim.trace.Tracer` for ``sim``, the
     ``(time, event)`` log for ``engine``/``live``, and the fingerprint
     dict for ``partitioned``.  ``detail`` is the backend-native object
     (session, driver, live run, partitioned result) for anything the
@@ -98,16 +94,12 @@ def _as_obs_plane(obs):
 # ----------------------------------------------------------------------
 # Per-backend execution
 # ----------------------------------------------------------------------
-def _run_sim(spec, obs, until, batched: bool) -> RunResult:
+def _run_sim(spec, obs, until) -> RunResult:
     from repro.scenario.session import Session
 
     spec = _with_health(spec)
     started = time.perf_counter()
     session = Session(spec)
-    if batched:
-        # Per-instance opt-in: only this session's simulator routes
-        # run() through the batched kernel.
-        session.sim.default_batched = True
     obs_plane = _as_obs_plane(obs)
     if obs_plane is not None:
         session.sim.attach(obs_plane)
@@ -116,7 +108,7 @@ def _run_sim(spec, obs, until, batched: bool) -> RunResult:
     session.run(until=until)
     telemetry = session.telemetry
     return RunResult(
-        backend="batched" if batched else "sim",
+        backend="sim",
         spec_name=spec.name,
         events=session.sim.events_processed,
         sim_time=session.sim.now,
@@ -130,16 +122,16 @@ def _run_sim(spec, obs, until, batched: bool) -> RunResult:
 
 def _run_engine(spec, obs, until) -> RunResult:
     from repro.telemetry.health import ProtocolHealth
-    from repro.wire.driver import _run_engine_spec
+    from repro.wire.driver import EngineDriver
+    from repro.wire.topo import build_engine_world
 
     health = ProtocolHealth()
     started = time.perf_counter()
-    driver = _run_engine_spec(
-        spec,
-        health=health,
-        obs=_as_obs_plane(obs),
-        until=until,
+    driver = EngineDriver(
+        build_engine_world(spec.topology), health=health, obs=_as_obs_plane(obs)
     )
+    driver.install_spec(spec)
+    driver.run(until=spec.horizon if until is None else until)
     return RunResult(
         backend="engine",
         spec_name=spec.name,
@@ -156,18 +148,21 @@ def _run_engine(spec, obs, until) -> RunResult:
 def _run_live(spec, obs, until, **opts) -> RunResult:
     if until is not None:
         raise ValueError("the live backend always runs to the spec horizon")
-    from repro.live.backend import DEFAULT_SPEED, _run_live_spec
+    import asyncio
+
+    from repro.live.backend import DEFAULT_SPEED, LiveRun
     from repro.telemetry.health import ProtocolHealth
 
     health = ProtocolHealth()
     started = time.perf_counter()
-    live_run = _run_live_spec(
+    live_run = LiveRun(
         spec,
         speed=float(opts.pop("speed", None) or DEFAULT_SPEED),
         health=health,
         obs=_as_obs_plane(obs),
         **opts,
     )
+    asyncio.run(live_run.main())
     return RunResult(
         backend="live",
         spec_name=spec.name,
@@ -248,9 +243,8 @@ def run(
         obs: ``True`` to attach a fresh :class:`~repro.obs.ObsPlane`,
             or an existing plane to attach; ``None`` for no obs.
         seed: override the spec's seed.
-        until: stop the clock early (``sim``/``batched``/``engine``
-            only — the live and partitioned backends run to the
-            horizon).
+        until: stop the clock early (``sim``/``engine`` only — the
+            live and partitioned backends run to the horizon).
         **opts: backend-specific — ``speed`` (live), ``workers``
             (partitioned; ``0`` = serial reference, default one
             process per partition).
@@ -263,9 +257,7 @@ def run(
         spec = _clone(spec)
         spec.seed = int(seed)
     if backend == "sim":
-        return _run_sim(spec, obs, until, batched=False)
-    if backend == "batched":
-        return _run_sim(spec, obs, until, batched=True)
+        return _run_sim(spec, obs, until)
     if backend == "engine":
         return _run_engine(spec, obs, until)
     if backend == "live":
@@ -337,7 +329,7 @@ def run_main(argv=None) -> int:
     parser = build_parser(
         "run",
         "run a scenario on any execution backend "
-        "(sim | batched | engine | live | partitioned)",
+        "(sim | engine | live | partitioned)",
         seed_help="override the scenario's seed",
     )
     parser.add_argument(

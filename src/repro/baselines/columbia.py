@@ -26,21 +26,17 @@ from typing import Dict, List, Optional, Set
 
 from repro.baselines.scenario_base import UDPProbeScenario
 from repro.baselines.startopo import StarTopology
-from repro.core.registration import (
-    ControlDispatcher,
-    RegistrationMessage,
-    ReliableRegistrar,
-    next_seq,
-)
+from repro.core.registration import RegistrationMessage, next_seq
 from repro.errors import ProtocolError
 from repro.ip.address import IPAddress, IPNetwork
 from repro.ip.host import Host
-from repro.ip.node import CONSUMED, IPNode, NetworkLayerExtension
+from repro.ip.node import CONSUMED, IPNode
 from repro.ip.packet import IPPacket, Payload
 from repro.ip.protocols import IPIP as PROTO_IPIP
 from repro.link.medium import Medium, WirelessCell
 from repro.netsim.simulator import Simulator
 from repro.scenario.world import build_world
+from repro.wire.roles import ControlDispatcher, ReliableRegistrar
 
 COL_GREET = "col-greet"     # mobile host -> new MSR (carries old MSR)
 COL_MOVED = "col-moved"     # new MSR -> old MSR
@@ -88,7 +84,7 @@ def ipip_encapsulate(packet: IPPacket, src: IPAddress, dst: IPAddress) -> IPPack
     return outer
 
 
-class MSR(NetworkLayerExtension):
+class MSR:
     """One Mobile Support Router."""
 
     def __init__(self, node: IPNode, cell_iface: str, mobile_subnet: IPNetwork) -> None:
@@ -109,7 +105,8 @@ class MSR(NetworkLayerExtension):
         dispatcher.on(COL_QUERY, self._on_query)
         dispatcher.on(COL_REMOTE, self._on_remote)
         self._dispatcher = dispatcher
-        node.add_extension(self)
+        node.dataplane.register("outbound", self.handle_outbound)
+        node.dataplane.register("transit", self.handle_transit)
         node.register_protocol(PROTO_IPIP, self._on_tunneled)
 
     @property

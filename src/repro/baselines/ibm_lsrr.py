@@ -28,19 +28,16 @@ from typing import Dict, List, Optional
 from repro.baselines.scenario_base import UDPProbeScenario
 from repro.baselines.startopo import StarTopology
 from repro.baselines.sunshine_postel import Forwarder
-from repro.core.registration import (
-    RegistrationMessage,
-    ReliableRegistrar,
-    next_seq,
-)
+from repro.core.registration import RegistrationMessage, next_seq
 from repro.ip.address import IPAddress
 from repro.ip.host import Host
-from repro.ip.node import IPNode, NetworkLayerExtension
+from repro.ip.node import IPNode
 from repro.ip.options import LSRROption
 from repro.ip.packet import IPPacket
 from repro.link.medium import Medium
 from repro.netsim.simulator import Simulator
 from repro.scenario.world import build_world
+from repro.wire.roles import ReliableRegistrar
 
 IBM_ATTACH = "ibm-attach"
 IBM_DETACH = "ibm-detach"
@@ -55,13 +52,13 @@ class BaseStation(Forwarder):
         )
 
 
-class LSRRMobileAgent(NetworkLayerExtension):
+class LSRRMobileAgent:
     """Mobile-host side: source-route everything through the base station."""
 
     def __init__(self, host: Host) -> None:
         self.host = host
         self.base_station: Optional[IPAddress] = None
-        host.add_extension(self)
+        host.dataplane.register("outbound", self.handle_outbound)
 
     def handle_outbound(self, packet: IPPacket):
         if self.base_station is None or packet.find_lsrr() is not None:
@@ -74,7 +71,7 @@ class LSRRMobileAgent(NetworkLayerExtension):
         return packet
 
 
-class LSRRCorrespondentAgent(NetworkLayerExtension):
+class LSRRCorrespondentAgent:
     """Correspondent side: save + reverse recorded routes (or not).
 
     ``reverses_routes=False`` models the broken implementations the
@@ -87,7 +84,7 @@ class LSRRCorrespondentAgent(NetworkLayerExtension):
         self.reverses_routes = reverses_routes
         #: source address -> reversed route to use when replying.
         self.saved_routes: Dict[IPAddress, List[IPAddress]] = {}
-        node.add_extension(self)
+        node.dataplane.register("outbound", self.handle_outbound)
 
     def note_received(self, packet: IPPacket) -> None:
         """Called for inbound packets so recorded routes can be saved.

@@ -23,20 +23,16 @@ from typing import Dict, List, Optional
 
 from repro.baselines.scenario_base import UDPProbeScenario
 from repro.baselines.startopo import StarTopology
-from repro.core.registration import (
-    ControlDispatcher,
-    RegistrationMessage,
-    ReliableRegistrar,
-    next_seq,
-)
+from repro.core.registration import RegistrationMessage, next_seq
 from repro.ip.address import IPAddress
 from repro.ip.host import Host
-from repro.ip.node import CONSUMED, IPNode, NetworkLayerExtension
+from repro.ip.node import CONSUMED, IPNode
 from repro.ip.packet import IPPacket
 from repro.ip.protocols import IPTP as PROTO_IPTP
 from repro.link.medium import Medium
 from repro.netsim.simulator import Simulator
 from repro.scenario.world import build_world
+from repro.wire.roles import ControlDispatcher, ReliableRegistrar
 
 MAT_REGISTER = "mat-register"  # mobile host -> PFS (current temp address)
 MAT_NOTIFY = "mat-notify"      # mobile host -> correspondent (autonomous)
@@ -75,7 +71,7 @@ def iptp_encapsulate(packet: IPPacket, src: IPAddress, dst: IPAddress) -> IPPack
     )
 
 
-class PacketForwardingServer(NetworkLayerExtension):
+class PacketForwardingServer:
     """The PFS on the mobile host's home network."""
 
     def __init__(self, node: IPNode, home_iface: str) -> None:
@@ -86,7 +82,8 @@ class PacketForwardingServer(NetworkLayerExtension):
         dispatcher = ControlDispatcher.for_node(node)
         dispatcher.on(MAT_REGISTER, self._on_register)
         self._dispatcher = dispatcher
-        node.add_extension(self)
+        node.dataplane.register("outbound", self.handle_outbound)
+        node.dataplane.register("transit", self.handle_transit)
 
     @property
     def address(self) -> IPAddress:
@@ -124,7 +121,7 @@ class PacketForwardingServer(NetworkLayerExtension):
         return iptp_encapsulate(packet, src=self.address, dst=temp)
 
 
-class MatsushitaSender(NetworkLayerExtension):
+class MatsushitaSender:
     """Autonomous-mode sender: cache the temp address, tunnel directly."""
 
     def __init__(self, node: IPNode) -> None:
@@ -134,7 +131,7 @@ class MatsushitaSender(NetworkLayerExtension):
         dispatcher = ControlDispatcher.for_node(node)
         dispatcher.on(MAT_NOTIFY, self._on_notify)
         self._dispatcher = dispatcher
-        node.add_extension(self)
+        node.dataplane.register("outbound", self.handle_outbound)
 
     def _on_notify(self, packet: IPPacket, message: RegistrationMessage) -> None:
         if message.agent.is_zero:

@@ -31,21 +31,17 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.baselines.scenario_base import UDPProbeScenario
 from repro.baselines.startopo import StarTopology
-from repro.core.registration import (
-    ControlDispatcher,
-    RegistrationMessage,
-    ReliableRegistrar,
-    next_seq,
-)
+from repro.core.registration import RegistrationMessage, next_seq
 from repro.ip.address import IPAddress
 from repro.ip.host import Host
 from repro.ip.icmp import ICMPError
-from repro.ip.node import CONSUMED, IPNode, NetworkLayerExtension
+from repro.ip.node import CONSUMED, IPNode
 from repro.ip.packet import IPPacket, Payload
 from repro.ip.protocols import VIP as PROTO_VIP
 from repro.link.medium import Medium
 from repro.netsim.simulator import Simulator
 from repro.scenario.world import build_world
+from repro.wire.roles import ControlDispatcher, ReliableRegistrar
 
 VIP_REGISTER = "vip-register"      # host -> home gateway (new physical)
 VIP_INVALIDATE = "vip-invalidate"  # flood: purge binding for a VIP
@@ -106,14 +102,14 @@ class BindingCache:
         return len(self.entries)
 
 
-class VIPRouterAgent(NetworkLayerExtension):
+class VIPRouterAgent:
     """VIP logic on a transit router: snoop, translate, purge on errors."""
 
     def __init__(self, node: IPNode) -> None:
         self.node = node
         self.cache = BindingCache()
         self.translations = 0
-        node.add_extension(self)
+        node.dataplane.register("transit", self.handle_transit)
 
     def handle_transit(self, packet: IPPacket, in_iface):
         payload = packet.payload
@@ -141,7 +137,7 @@ class VIPRouterAgent(NetworkLayerExtension):
         return None
 
 
-class VIPHomeGateway(NetworkLayerExtension):
+class VIPHomeGateway:
     """The authoritative translator on a VIP's home network."""
 
     def __init__(self, node: IPNode) -> None:
@@ -151,7 +147,7 @@ class VIPHomeGateway(NetworkLayerExtension):
         dispatcher = ControlDispatcher.for_node(node)
         dispatcher.on(VIP_REGISTER, self._on_register)
         self._dispatcher = dispatcher
-        node.add_extension(self)
+        node.dataplane.register("transit", self.handle_transit)
 
     def _on_register(self, packet: IPPacket, message: RegistrationMessage) -> None:
         vip = message.mobile_host
@@ -182,7 +178,7 @@ class VIPHomeGateway(NetworkLayerExtension):
         return packet
 
 
-class VIPHostAgent(NetworkLayerExtension):
+class VIPHostAgent:
     """Host-side VIP: wrap every outbound packet, unwrap inbound ones,
     raise errors on misdelivery, retransmit after errors."""
 
@@ -199,7 +195,7 @@ class VIPHostAgent(NetworkLayerExtension):
         self.misdeliveries = 0
         self.retransmissions = 0
         self._last_sent: Dict[IPAddress, IPPacket] = {}  # dst_vip -> copy
-        host.add_extension(self)
+        host.dataplane.register("outbound", self.handle_outbound)
         host.register_protocol(PROTO_VIP, self._on_vip_packet)
         host.on_icmp_error(self._on_icmp_error)
 

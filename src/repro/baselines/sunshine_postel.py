@@ -24,22 +24,18 @@ from typing import Dict, List, Optional, Set
 
 from repro.baselines.scenario_base import UDPProbeScenario
 from repro.baselines.startopo import StarTopology
-from repro.core.registration import (
-    ControlDispatcher,
-    RegistrationMessage,
-    ReliableRegistrar,
-    next_seq,
-)
+from repro.core.registration import RegistrationMessage, next_seq
 from repro.ip.address import IPAddress
 from repro.ip.host import Host
 from repro.ip.icmp import ICMPError, TYPE_DEST_UNREACHABLE
-from repro.ip.node import CONSUMED, IPNode, NetworkLayerExtension
+from repro.ip.node import CONSUMED, IPNode
 from repro.ip.options import LSRROption
 from repro.ip.packet import IPPacket
 from repro.ip.router import Router
 from repro.link.medium import Medium
 from repro.netsim.simulator import Simulator
 from repro.scenario.world import build_world
+from repro.wire.roles import ControlDispatcher, ReliableRegistrar
 
 # Control message kinds (namespaced to coexist with other dispatchers).
 SP_REGISTER = "sp-register"   # mobile host -> global registry
@@ -86,7 +82,7 @@ class GlobalRegistry:
         )
 
 
-class Forwarder(NetworkLayerExtension):
+class Forwarder:
     """A per-network forwarder: delivers to registered local mobiles.
 
     Packets source-routed here for a host that has left are answered
@@ -112,7 +108,14 @@ class Forwarder(NetworkLayerExtension):
         dispatcher.on(attach_kind, self._on_attach)
         dispatcher.on(detach_kind, self._on_detach)
         self._dispatcher = dispatcher
-        node.add_extension(self)
+        # Labelled by the concrete class (BaseStation reuses this role).
+        label = type(self).__name__
+        node.dataplane.register(
+            "outbound", self.handle_outbound, name=f"{label}.handle_outbound"
+        )
+        node.dataplane.register(
+            "transit", self.handle_transit, name=f"{label}.handle_transit"
+        )
 
     @property
     def address(self) -> IPAddress:
@@ -170,7 +173,7 @@ class Forwarder(NetworkLayerExtension):
         )
 
 
-class SPSender(NetworkLayerExtension):
+class SPSender:
     """Sender-side logic: query the registry, source-route, recover.
 
     Attached to a correspondent host; treats every destination in
@@ -185,7 +188,7 @@ class SPSender(NetworkLayerExtension):
         self._waiting: Dict[IPAddress, List[IPPacket]] = {}
         self.queries_sent = 0
         self.registrar = ReliableRegistrar(node)
-        node.add_extension(self)
+        node.dataplane.register("outbound", self.handle_outbound)
         node.on_icmp_error(self._on_error)
 
     def handle_outbound(self, packet: IPPacket):

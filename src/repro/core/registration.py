@@ -12,11 +12,13 @@ but not a message format; this module supplies a minimal one:
 - ``ACK``           agent → mobile host
 
 Registrations cross wireless links and possibly half the internetwork,
-so they are retransmitted until acknowledged (:class:`ReliableRegistrar`).
+so they are retransmitted until acknowledged
+(:class:`repro.wire.roles.ReliableRegistrar`).
 
 All control traffic rides IP protocol :data:`~repro.ip.protocols.MOBILE_CONTROL`;
-a per-node :class:`ControlDispatcher` demultiplexes by message kind so a
-single router can host a home agent and a foreign agent at once.
+a per-node :class:`repro.wire.roles.ControlDispatcher` demultiplexes by
+message kind so a single router can host a home agent and a foreign
+agent at once.
 """
 
 from __future__ import annotations
@@ -179,14 +181,3 @@ class StaleControlFilter:
         self._high_water = {
             IPAddress(host): int(seq) for host, seq in state["high_water"].items()
         }
-
-
-def __getattr__(name: str):
-    # ControlDispatcher and ReliableRegistrar moved to repro.wire.roles
-    # (one implementation for the simulator and the sans-io engines).
-    # Resolved lazily: roles imports this module at import time.
-    if name in ("ControlDispatcher", "ReliableRegistrar"):
-        from repro.wire import roles
-
-        return getattr(roles, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

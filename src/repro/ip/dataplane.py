@@ -32,8 +32,8 @@ The pipeline also owns the node's :class:`DataplaneCounters`; the
 ``python -m repro netstat`` CLI renders them per node and per stage.
 
 :class:`~repro.ip.node.IPNode` drives the pipeline; the mobility roles
-in ``repro.core`` register themselves as stage hooks instead of being
-scanned through a bespoke extension interface.
+in ``repro.core`` and the comparison protocols in ``repro.baselines``
+register their stage hooks through :meth:`Dataplane.register`.
 """
 
 from __future__ import annotations
@@ -191,10 +191,8 @@ class Dataplane:
     """One node's packet pipeline: stage hooks, counters, and the stage
     driver methods themselves.
 
-    Hook registration replaces the historical
-    ``NetworkLayerExtension`` scan: a role registers the callables it
-    wants run at the ``outbound`` and/or ``transit`` stage, in the order
-    registration happens (which is the order the paper's role
+    A role registers the callables it wants run at the ``outbound``
+    and/or ``transit`` stage; they run in the order registration happens (which is the order the paper's role
     composition requires — see :mod:`repro.core.agent_router`).
     """
 
@@ -252,32 +250,23 @@ class Dataplane:
         auditor = sim.auditor
         if auditor is not None:
             auditor.packet_sent(sim.now, node.name, packet)
+        # Stage timing around the MHRP seam only with an obs plane
+        # attached, so the detached hot path never reads a wall clock.
         obs = sim.obs
-        if obs is None:
-            for hook in self._outbound_hooks:
-                result = hook(packet)
-                if result is CONSUMED:
-                    return
-                if result is not None:
-                    packet = result
-                    break
-        else:
-            # Stage timing around the MHRP seam — only ever entered
-            # with an obs plane attached, so the detached hot path
-            # never reads a wall clock.
-            started = perf_counter()
-            consumed = False
-            for hook in self._outbound_hooks:
-                result = hook(packet)
-                if result is CONSUMED:
-                    consumed = True
-                    break
-                if result is not None:
-                    packet = result
-                    break
+        started = perf_counter() if obs is not None else 0.0
+        consumed = False
+        for hook in self._outbound_hooks:
+            result = hook(packet)
+            if result is CONSUMED:
+                consumed = True
+                break
+            if result is not None:
+                packet = result
+                break
+        if obs is not None:
             obs.time_stage("sim", "outbound-hooks", perf_counter() - started)
-            if consumed:
-                return
+        if consumed:
+            return
         self.route(packet, transit=False)
 
     # ------------------------------------------------------------------
@@ -313,30 +302,21 @@ class Dataplane:
         rewritten = False
         if iface is not None:
             obs = node.sim.obs
-            if obs is None:
-                for hook in self._transit_hooks:
-                    result = hook(packet, iface)
-                    if result is CONSUMED:
-                        return
-                    if result is not None:
-                        packet = result
-                        rewritten = True
-                        break
-            else:
-                started = perf_counter()
-                consumed = False
-                for hook in self._transit_hooks:
-                    result = hook(packet, iface)
-                    if result is CONSUMED:
-                        consumed = True
-                        break
-                    if result is not None:
-                        packet = result
-                        rewritten = True
-                        break
+            started = perf_counter() if obs is not None else 0.0
+            consumed = False
+            for hook in self._transit_hooks:
+                result = hook(packet, iface)
+                if result is CONSUMED:
+                    consumed = True
+                    break
+                if result is not None:
+                    packet = result
+                    rewritten = True
+                    break
+            if obs is not None:
                 obs.time_stage("sim", "transit-hooks", perf_counter() - started)
-                if consumed:
-                    return
+            if consumed:
+                return
         if not node.forwarding and not rewritten:
             self.drop(packet, "not-a-router")
             return

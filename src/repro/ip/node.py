@@ -17,8 +17,7 @@ egress).  Mobility protocols plug in through two seams:
   ``transit`` stages) see locally-originated and transit packets before
   normal routing, which is how cache agents divert packets into tunnels
   and how foreign agents short-circuit delivery to visiting mobile
-  hosts.  The legacy :class:`NetworkLayerExtension` interface is kept as
-  a thin adapter over hook registration (used by the baselines).
+  hosts.
 """
 
 from __future__ import annotations
@@ -42,31 +41,8 @@ from repro.netsim.simulator import Simulator
 __all__ = [
     "CONSUMED",
     "LIMITED_BROADCAST",
-    "NetworkLayerExtension",
     "IPNode",
 ]
-
-
-class NetworkLayerExtension:
-    """Legacy hook interface for mobility protocols.
-
-    Hooks return ``None`` to let normal processing continue, a (possibly
-    rewritten) :class:`IPPacket` to route instead, or :data:`CONSUMED`
-    when they have fully handled the packet.
-
-    New code registers callables on the node's dataplane directly
-    (``node.dataplane.register("outbound" | "transit", fn)``); this class
-    remains as an adapter — :meth:`IPNode.add_extension` registers its
-    two methods as stage hooks.
-    """
-
-    def handle_outbound(self, packet: IPPacket):  # noqa: ANN201 - tri-state
-        """A packet originated by this node, before routing."""
-        return None
-
-    def handle_transit(self, packet: IPPacket, in_iface: NetworkInterface):  # noqa: ANN201
-        """A packet this node is forwarding, before TTL/route processing."""
-        return None
 
 
 class IPNode:
@@ -88,9 +64,9 @@ class IPNode:
         self.routing_table = RoutingTable()
         #: The per-hop pipeline: stage hooks plus per-stage counters.
         self.dataplane = Dataplane(self)
-        #: Extension objects installed via :meth:`add_extension` or by the
-        #: ``repro.core`` roles, in attach order (introspection only — the
-        #: dataplane holds the actual hook callables).
+        #: Role objects installed by the ``repro.core`` roles, in attach
+        #: order (introspection only — the dataplane holds the actual
+        #: hook callables).
         self.extensions: List[object] = []
         self._protocol_handlers: Dict[
             int, Callable[[IPPacket, Optional[NetworkInterface]], None]
@@ -208,22 +184,6 @@ class IPNode:
                 f"{self.name}: protocol {protocol} already has a handler"
             )
         self._protocol_handlers[protocol] = handler
-
-    def add_extension(self, extension: NetworkLayerExtension) -> None:
-        """Install a network-layer extension (consulted in order).
-
-        Adapter over dataplane hook registration: the extension's
-        ``handle_outbound``/``handle_transit`` methods become the node's
-        next ``outbound``/``transit`` stage hooks.
-        """
-        self.extensions.append(extension)
-        label = type(extension).__name__
-        self.dataplane.register(
-            "outbound", extension.handle_outbound, name=f"{label}.handle_outbound"
-        )
-        self.dataplane.register(
-            "transit", extension.handle_transit, name=f"{label}.handle_transit"
-        )
 
     def on_icmp(
         self, icmp_type: int, listener: Callable[[IPPacket, ICMPMessage], None]

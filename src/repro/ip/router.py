@@ -13,7 +13,7 @@ class Router(IPNode):
     :class:`Router` instances — the paper requires "no changes to
     backbone routers", and the benches verify MHRP works with exactly
     this class in the core.  Agents (home/foreign/cache) are built *on*
-    routers by attaching extensions and protocol handlers.
+    routers by registering dataplane stage hooks and protocol handlers.
     """
 
     def __init__(self, sim: Simulator, name: str) -> None:

@@ -111,11 +111,11 @@ class _IfaceEndpoint(asyncio.DatagramProtocol):
 class LiveRun(ScheduleActions):
     """One scenario executed over loopback UDP.
 
-    Build, then ``asyncio.run(run.main())`` — or use
-    :func:`run_live_spec`, which does both.  After the run, ``events``
-    holds the full time-stamped protocol-event log in the same shape
-    the deterministic driver produces, so the conformance harness can
-    diff the two backends directly.
+    Build, then ``asyncio.run(run.main())`` — or call
+    ``repro.backend.run(spec, backend="live")``, which does both.
+    After the run, ``events`` holds the full time-stamped protocol-event
+    log in the same shape the deterministic driver produces, so the
+    conformance harness can diff the two backends directly.
     """
 
     def __init__(
@@ -463,46 +463,3 @@ class LiveRun(ScheduleActions):
             self._snapshot_file = None
         await asyncio.sleep(0)
         return self
-
-
-def _run_live_spec(
-    spec,
-    speed: float = DEFAULT_SPEED,
-    health=None,
-    obs=None,
-    serve_metrics: bool = False,
-    snapshot_path: Optional[str] = None,
-) -> LiveRun:
-    """Execute a ScenarioSpec over loopback UDP and return the finished
-    :class:`LiveRun` (its ``events`` log feeds the conformance diff).
-    Internal entry point behind :func:`repro.backend.run`."""
-    run = LiveRun(
-        spec, speed=speed, health=health, obs=obs,
-        serve_metrics=serve_metrics, snapshot_path=snapshot_path,
-    )
-    asyncio.run(run.main())
-    return run
-
-
-def run_live_spec(
-    spec,
-    speed: float = DEFAULT_SPEED,
-    health=None,
-    obs=None,
-    serve_metrics: bool = False,
-    snapshot_path: Optional[str] = None,
-) -> LiveRun:
-    """Deprecated one-call entry point; use ``repro.backend.run(spec,
-    backend="live")`` instead.  Kept (warning) for one release."""
-    import warnings
-
-    warnings.warn(
-        "run_live_spec() is deprecated; use "
-        "repro.backend.run(spec, backend='live') instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _run_live_spec(
-        spec, speed=speed, health=health, obs=obs,
-        serve_metrics=serve_metrics, snapshot_path=snapshot_path,
-    )

@@ -10,7 +10,7 @@ for a given seed.
 from __future__ import annotations
 
 import random
-from heapq import heapify as _heapify, heappop, heappush
+from heapq import heappop
 from typing import Any, Callable, Iterable, Optional, Tuple
 
 from repro.errors import SimulationError
@@ -78,15 +78,6 @@ class Simulator:
             (:class:`repro.obs.ObsPlane`), or ``None`` (the default);
             same guarding discipline as ``telemetry``.
     """
-
-    #: When true, :meth:`run` delegates to :meth:`run_batched`.  A class
-    #: attribute so the byte-identity tests can force every simulator in
-    #: a scenario — including ones built deep inside session/world code —
-    #: through the batched kernel without plumbing a flag everywhere.
-    #: :meth:`run` reads it through ``self``, so a single simulator can
-    #: also opt in per instance (the ``batched`` backend of
-    #: :func:`repro.backend.run` does exactly that).
-    default_batched = False
 
     def __init__(
         self,
@@ -248,8 +239,6 @@ class Simulator:
         and pay a method call per event).  The observable semantics are
         identical; the netsim test suite pins them.
         """
-        if self.default_batched:
-            return self.run_batched(until=until, max_events=max_events)
         if self._running:
             raise SimulationError("run() called re-entrantly from inside an event")
         self._running = True
@@ -359,162 +348,6 @@ class Simulator:
                 queue._cancelled_pending = 0
         finally:
             self._running = False
-        return executed
-
-    def run_batched(
-        self, until: Optional[float] = None, max_events: Optional[int] = None
-    ) -> int:
-        """:meth:`run`, but draining all events at the current timestamp
-        in one heap sweep.
-
-        When the heap top reveals a same-time run (bulk CBR batches,
-        broadcast storms, timer barrages), the whole tie-run is extracted
-        with a single O(n) partition + sort-by-sequence instead of K
-        sifting ``heappop``\\ s from a deep heap, then executed back to
-        back with no heap traffic at all.  Because the batch is sorted by
-        sequence and any event *scheduled during* the batch necessarily
-        gets a higher sequence number (and is picked up by the next
-        sweep), the execution order is exactly the serial ``(time,
-        sequence)`` order — :meth:`run` and :meth:`run_batched` are
-        observably identical, which the byte-identity suite pins on the
-        golden trace and the conformance corpus.
-
-        Cancellation keeps per-event semantics inside a batch: the
-        ``cancelled`` flag is tested immediately before each action runs,
-        the same instant :meth:`EventQueue.pop` would have tested it.
-        """
-        if self._running:
-            raise SimulationError("run() called re-entrantly from inside an event")
-        self._running = True
-        executed = 0
-        queue = self.queue
-        heap = queue._heap
-        clock = self.clock
-        try:
-            while heap:
-                if max_events is not None and executed >= max_events:
-                    break
-                entry = heap[0]
-                payload = entry[2]
-                if payload.__class__ is Event and payload.cancelled:
-                    heappop(heap)
-                    if queue._cancelled_pending > 0:
-                        queue._cancelled_pending -= 1
-                    continue
-                when = entry[0]
-                if until is not None and when > until:
-                    break
-                if when > clock._now:
-                    clock._now = when
-                elif when < clock._now:
-                    clock.advance_to(when)  # raises: clock cannot move backwards
-                heappop(heap)
-                if heap and heap[0][0] == when:
-                    # Same-tick run: extract the whole tie-run before
-                    # executing.  When a cheap sample (middle + last heap
-                    # slots) says ties dominate, one O(n) partition lifts
-                    # them all out — crucially in heap-array order, which
-                    # for bulk pushes is already sequence-sorted, so the
-                    # sort below hits timsort's linear fast path.
-                    # Otherwise pop ties one by one (exact: once the heap
-                    # min exceeds ``when`` no tie remains anywhere),
-                    # escalating to the partition if the run outgrows an
-                    # eighth of the heap.
-                    batch = [entry]
-                    append = batch.append
-                    hn = len(heap)
-                    if heap[hn - 1][0] == when and heap[hn >> 1][0] == when:
-                        rest = []
-                        keep = rest.append
-                        for candidate in heap:
-                            if candidate[0] == when:
-                                append(candidate)
-                            else:
-                                keep(candidate)
-                        heap[:] = rest
-                        _heapify(heap)
-                    else:
-                        threshold = 64 + (hn >> 3)
-                        while heap and heap[0][0] == when:
-                            append(heappop(heap))
-                            if len(batch) >= threshold and heap and heap[0][0] == when:
-                                rest = []
-                                keep = rest.append
-                                for candidate in heap:
-                                    if candidate[0] == when:
-                                        append(candidate)
-                                    else:
-                                        keep(candidate)
-                                heap[:] = rest
-                                _heapify(heap)
-                                break
-                    batch.sort()  # (time, seq, ...): ties impossible, seq decides
-                    # Per-event counters are accumulated in a local and
-                    # committed in the finally, so an exception (or a
-                    # max_events stop) still leaves them exact.
-                    done = 0
-                    if max_events is None:
-                        it = iter(batch)
-                        try:
-                            for _, _, payload in it:
-                                if payload.__class__ is Event:
-                                    if payload.cancelled:
-                                        if queue._cancelled_pending > 0:
-                                            queue._cancelled_pending -= 1
-                                        continue
-                                    done += 1
-                                    payload.action()
-                                else:
-                                    done += 1
-                                    payload()
-                        finally:
-                            queue._live -= done
-                            self._processed += done
-                            executed += done
-                            for unrun in it:
-                                heappush(heap, unrun)
-                    else:
-                        i = 0
-                        n = len(batch)
-                        try:
-                            while i < n:
-                                if executed + done >= max_events:
-                                    break
-                                payload = batch[i][2]
-                                i += 1
-                                if payload.__class__ is Event:
-                                    if payload.cancelled:
-                                        if queue._cancelled_pending > 0:
-                                            queue._cancelled_pending -= 1
-                                        continue
-                                    done += 1
-                                    payload.action()
-                                else:
-                                    done += 1
-                                    payload()
-                        finally:
-                            # Early exit: the not-yet-executed tail goes
-                            # back on the heap untouched.
-                            queue._live -= done
-                            self._processed += done
-                            executed += done
-                            for unrun in batch[i:]:
-                                heappush(heap, unrun)
-                else:
-                    queue._live -= 1
-                    self._processed += 1
-                    executed += 1
-                    if payload.__class__ is Event:
-                        payload.action()
-                    else:
-                        payload()
-            else:
-                queue._live = 0
-                queue._cancelled_pending = 0
-        finally:
-            self._running = False
-        if until is not None and until > self.clock.now:
-            self.clock.advance_to(until)
         return executed
 
     def run_until_idle(self, max_events: int = 1_000_000) -> int:

@@ -37,39 +37,25 @@ BACKENDS = ("sim", "driver", "live")
 # ----------------------------------------------------------------------
 
 def _run_backend(spec, backend: str, speed: float):
-    """Run ``spec`` with health + obs attached; returns (health, obs,
-    extra-runtime-lines)."""
+    """Run ``spec`` through :func:`repro.backend.run` with an obs plane
+    attached; returns (health, obs, extra-runtime-lines)."""
+    from repro.backend import run
     from repro.obs import ObsPlane
 
-    if backend == "sim":
-        from repro.scenario.session import Session
-        from repro.scenario.spec import ScenarioSpec
-
-        data = spec.to_dict()
-        data["instruments"] = [{"kind": "health"}, {"kind": "obs"}]
-        session = Session(ScenarioSpec.from_dict(data))
-        session.run_full()
-        return session.telemetry, session.obs, []
-    from repro.telemetry.health import ProtocolHealth
-
-    health = ProtocolHealth()
     obs = ObsPlane()
+    if backend == "sim":
+        return run(spec, "sim", obs=obs).detail.telemetry, obs, []
     if backend == "driver":
-        from repro.wire.driver import _run_engine_spec
-
-        _run_engine_spec(spec, health=health, obs=obs)
-        return health, obs, []
-    from repro.live.backend import _run_live_spec
-
-    run = _run_live_spec(spec, speed=speed, health=health, obs=obs)
+        return run(spec, "engine", obs=obs).detail.feed.health, obs, []
+    live = run(spec, "live", obs=obs, speed=speed).detail
     extra = [
-        f"  runtime: {run.runtime_samples} samples, max drift "
-        f"{run.clock.max_drift_virtual:.3f}s virtual, "
-        f"{run.drift_warnings} drift warnings, "
-        f"{run.datagrams_sent} datagrams sent / "
-        f"{run.datagrams_received} received",
+        f"  runtime: {live.runtime_samples} samples, max drift "
+        f"{live.clock.max_drift_virtual:.3f}s virtual, "
+        f"{live.drift_warnings} drift warnings, "
+        f"{live.datagrams_sent} datagrams sent / "
+        f"{live.datagrams_received} received",
     ]
-    return health, obs, extra
+    return live.feed.health, obs, extra
 
 
 # ----------------------------------------------------------------------

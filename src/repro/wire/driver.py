@@ -27,7 +27,7 @@ from repro.errors import ConfigurationError
 from repro.ip.address import IPAddress
 from repro.netsim.trace import TraceEntry
 from repro.wire.engine import Datagram, EngineEvent, EngineOutput, NodeEngine
-from repro.wire.topo import EngineTopology, build_engine_world
+from repro.wire.topo import EngineTopology
 
 #: Media latencies mirroring the simulator topology builders' defaults.
 LAN_LATENCY = 0.001
@@ -362,64 +362,15 @@ class EngineDriver(ScheduleActions):
         """
         processed = 0
         obs = self.obs
-        if obs is None:
-            while self._heap and self._heap[0][0] <= until:
-                time, _, action = heapq.heappop(self._heap)
-                self.now = max(self.now, time)
+        while self._heap and self._heap[0][0] <= until:
+            time, _, action = heapq.heappop(self._heap)
+            self.now = max(self.now, time)
+            if obs is None:
                 self._dispatch(action)
-                processed += 1
-        else:
-            perf = perf_counter
-            while self._heap and self._heap[0][0] <= until:
-                time, _, action = heapq.heappop(self._heap)
-                self.now = max(self.now, time)
-                started = perf()
+            else:
+                started = perf_counter()
                 self._dispatch(action)
-                obs.time_stage("driver", action[0], perf() - started)
-                processed += 1
+                obs.time_stage("driver", action[0], perf_counter() - started)
+            processed += 1
         self.now = max(self.now, until)
         return processed
-
-
-def _run_engine_spec(
-    spec,
-    health=None,
-    obs=None,
-    until=None,
-    lan_latency: float = LAN_LATENCY,
-    wireless_latency: float = WIRELESS_LATENCY,
-) -> EngineDriver:
-    """Boot the spec's topology as engines, install its schedule, and
-    run to ``until`` (default: the spec's horizon).  Internal entry
-    point behind :func:`repro.backend.run`."""
-    topo = build_engine_world(spec.topology)
-    driver = EngineDriver(
-        topo, health=health, obs=obs,
-        lan_latency=lan_latency, wireless_latency=wireless_latency,
-    )
-    driver.install_spec(spec)
-    driver.run(until=spec.horizon if until is None else until)
-    return driver
-
-
-def run_engine_spec(
-    spec,
-    health=None,
-    obs=None,
-    lan_latency: float = LAN_LATENCY,
-    wireless_latency: float = WIRELESS_LATENCY,
-) -> EngineDriver:
-    """Deprecated one-call entry point; use ``repro.backend.run(spec,
-    backend="engine")`` instead.  Kept (warning) for one release."""
-    import warnings
-
-    warnings.warn(
-        "run_engine_spec() is deprecated; use "
-        "repro.backend.run(spec, backend='engine') instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _run_engine_spec(
-        spec, health=health, obs=obs,
-        lan_latency=lan_latency, wireless_latency=wireless_latency,
-    )

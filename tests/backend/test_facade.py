@@ -1,4 +1,4 @@
-"""The unified backend facade: one ``run()`` for five executions."""
+"""The unified backend facade: one ``run()`` for four executions."""
 
 import pytest
 
@@ -9,18 +9,15 @@ from repro.wire.conformance import figure1_walkthrough_spec
 
 
 class TestRun:
-    def test_sim_and_batched_agree(self):
-        sim = run(figure1_walkthrough_spec(), backend="sim")
-        batched = run(figure1_walkthrough_spec(), backend="batched")
-        for result in (sim, batched):
-            assert isinstance(result, RunResult)
-            assert result.ok
-            assert result.spec_name == "figure1-walkthrough"
-            assert result.events > 0
-            assert result.sim_time == pytest.approx(32.0)
-            assert result.health is not None and result.health["moves"] == 3
-        assert batched.events == sim.events
-        assert batched.health == sim.health
+    def test_sim_backend(self):
+        result = run(figure1_walkthrough_spec(), backend="sim")
+        assert isinstance(result, RunResult)
+        assert result.backend == "sim"
+        assert result.ok
+        assert result.spec_name == "figure1-walkthrough"
+        assert result.events > 0
+        assert result.sim_time == pytest.approx(32.0)
+        assert result.health is not None and result.health["moves"] == 3
 
     def test_engine_backend(self):
         result = run(figure1_walkthrough_spec(), backend="engine")
@@ -70,6 +67,14 @@ class TestRejections:
         with pytest.raises(ValueError, match="unknown backend"):
             run(figure1_walkthrough_spec(), backend="quantum")
 
+    def test_batched_backend_is_gone(self, capsys):
+        with pytest.raises(ValueError, match="unknown backend"):
+            run(figure1_walkthrough_spec(), backend="batched")
+        with pytest.raises(SystemExit) as exc:
+            run_main(["figure1", "--backend", "batched"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_live_rejects_until(self):
         with pytest.raises(ValueError, match="horizon"):
             run(figure1_walkthrough_spec(), backend="live", until=5.0)
@@ -85,25 +90,9 @@ class TestRejections:
             run(figure1_walkthrough_spec(), backend="partitioned")
 
 
-class TestDeprecatedEntrypoints:
-    def test_run_engine_spec_warns_but_works(self):
-        from repro.wire.driver import run_engine_spec
-
-        with pytest.warns(DeprecationWarning, match="repro.backend.run"):
-            driver = run_engine_spec(figure1_walkthrough_spec())
-        assert len(driver.events) > 0
-
-    def test_run_live_spec_warns_but_works(self):
-        from repro.live.backend import run_live_spec
-
-        with pytest.warns(DeprecationWarning, match="repro.backend.run"):
-            live = run_live_spec(figure1_walkthrough_spec(), speed=40.0)
-        assert len(live.events) > 0
-
-
 class TestCli:
     def test_every_backend_name_is_offered(self):
-        assert BACKENDS == ("sim", "batched", "engine", "live", "partitioned")
+        assert BACKENDS == ("sim", "engine", "live", "partitioned")
 
     def test_run_main_engine(self, capsys):
         assert run_main(["figure1", "--backend", "engine"]) == 0

@@ -112,11 +112,8 @@ class TestGlobalRegistry:
             SP_QUERY,
             SP_REGISTER,
         )
-        from repro.core.registration import (
-            RegistrationMessage,
-            ReliableRegistrar,
-            next_seq,
-        )
+        from repro.core.registration import RegistrationMessage, next_seq
+        from repro.wire.roles import ReliableRegistrar
 
         registry = GlobalRegistry(b)
         registrar = ReliableRegistrar(a)

@@ -25,9 +25,9 @@ class TestRegistrationHandling:
         from repro.core.registration import (
             HA_REGISTER,
             RegistrationMessage,
-            ReliableRegistrar,
             next_seq,
         )
+        from repro.wire.roles import ReliableRegistrar
 
         acks = []
         message = RegistrationMessage(

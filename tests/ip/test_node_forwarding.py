@@ -12,7 +12,7 @@ from repro.ip.icmp import (
     TYPE_DEST_UNREACHABLE,
     TYPE_TIME_EXCEEDED,
 )
-from repro.ip.node import CONSUMED, NetworkLayerExtension
+from repro.ip.node import CONSUMED
 from repro.ip.options import LSRROption
 from repro.ip.packet import IPPacket, RawPayload
 from repro.ip.protocols import UDP
@@ -136,19 +136,20 @@ class TestBroadcast:
 
 
 class TestExtensions:
+    """Stage hooks registered on the dataplane (the extension seam)."""
+
     def test_outbound_extension_can_rewrite(self, two_hosts_one_lan):
         sim, lan, a, b, net = two_hosts_one_lan
 
-        class Rewriter(NetworkLayerExtension):
-            def handle_outbound(self, packet):
-                if packet.protocol == UDP:
-                    return IPPacket(
-                        src=packet.src, dst=net.host(2), protocol=UDP,
-                        payload=packet.payload,
-                    )
-                return None
+        def rewrite(packet):
+            if packet.protocol == UDP:
+                return IPPacket(
+                    src=packet.src, dst=net.host(2), protocol=UDP,
+                    payload=packet.payload,
+                )
+            return None
 
-        a.add_extension(Rewriter())
+        a.dataplane.register("outbound", rewrite)
         seen = []
         b.register_protocol(UDP, lambda p, i: seen.append(p))
         a.send(IPPacket(src=net.host(1), dst="99.9.9.9", protocol=UDP))
@@ -157,38 +158,30 @@ class TestExtensions:
 
     def test_outbound_extension_can_consume(self, two_hosts_one_lan):
         sim, lan, a, b, net = two_hosts_one_lan
+        eaten = []
 
-        class Sink(NetworkLayerExtension):
-            def __init__(self):
-                self.eaten = []
+        def sink(packet):
+            eaten.append(packet)
+            return CONSUMED
 
-            def handle_outbound(self, packet):
-                self.eaten.append(packet)
-                return CONSUMED
-
-        sink = Sink()
-        a.add_extension(sink)
+        a.dataplane.register("outbound", sink)
         a.send(IPPacket(src=net.host(1), dst=net.host(2), protocol=UDP))
         sim.run_until_idle()
-        assert len(sink.eaten) == 1
+        assert len(eaten) == 1
 
     def test_transit_extension_sees_forwarded_packets(self, two_lans_one_router):
         sim, a, r, b, net_a, net_b = two_lans_one_router
+        seen = []
 
-        class Spy(NetworkLayerExtension):
-            def __init__(self):
-                self.seen = []
+        def spy(packet, in_iface):
+            seen.append(packet)
+            return None
 
-            def handle_transit(self, packet, in_iface):
-                self.seen.append(packet)
-                return None
-
-        spy = Spy()
-        r.add_extension(spy)
+        r.dataplane.register("transit", spy)
         b.register_protocol(UDP, lambda p, i: None)
         a.send(IPPacket(src=net_a.host(1), dst=net_b.host(1), protocol=UDP))
         sim.run_until_idle()
-        assert len(spy.seen) == 1
+        assert len(seen) == 1
 
 
 class TestCrashAndReboot:

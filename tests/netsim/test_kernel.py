@@ -1,13 +1,14 @@
-"""The batched event kernel: ``run_batched`` must be observably
-identical to ``run``.
+"""The event kernel: ``Simulator.run`` must be observably identical to
+the naive reference loop ``while sim.step(): ...``.
 
-The equivalence argument (same (time, sequence) execution order, same
-cancellation semantics, same counters) is stated in
-:meth:`Simulator.run_batched`; these tests pin it mechanically —
-randomized interleavings, same-tick storms with mid-batch cancellation,
-bulk entries, ``max_events`` stops inside a batch, and exceptions
-thrown mid-batch.  Scenario-level byte identity (golden trace,
-conformance corpus) lives in ``tests/core/test_batched_identity.py``.
+``run()`` works on the queue and clock internals directly instead of
+going through ``EventQueue.pop()`` once per event; these tests pin that
+shortcut mechanically against the reference — randomized interleavings,
+same-tick storms with cancellation, bulk entries, the ``until``
+boundary, ``max_events`` stops, and exceptions thrown mid-tick.
+Scenario-level byte identity is pinned by the golden figure-1 trace
+(``tests/core/test_golden_trace.py``) and the conformance corpus
+(``tests/wire/test_conformance.py``).
 """
 
 import random
@@ -20,8 +21,16 @@ from repro.netsim import Simulator
 from repro.netsim.events import BULK_LABEL, EventQueue
 
 
+def _reference_run(sim: Simulator) -> int:
+    """Drain ``sim`` one ``step()`` at a time; returns events executed."""
+    executed = 0
+    while sim.step():
+        executed += 1
+    return executed
+
+
 # ----------------------------------------------------------------------
-# Randomized serial/batched equivalence
+# Randomized equivalence with the reference loop
 # ----------------------------------------------------------------------
 def _build_workload(sim: Simulator, seed: int, log: list) -> None:
     """A churny mixed schedule: same-tick storms, chained rescheduling,
@@ -34,8 +43,8 @@ def _build_workload(sim: Simulator, seed: int, log: list) -> None:
     def chain(tag, depth):
         note(tag)
         if depth > 0:
-            # Zero delays land in the *current* batch's timestamp but a
-            # later sequence number — the next sweep must pick them up.
+            # Zero delays land on the current timestamp but with a later
+            # sequence number, so they run after every existing tie.
             delay = rng.choice([0.0, 0.0, 0.25, 1.0])
             sim.schedule(delay, partial(chain, tag + "+", depth - 1))
 
@@ -53,8 +62,8 @@ def _build_workload(sim: Simulator, seed: int, log: list) -> None:
         for i in range(10)
     )
 
-    # Timers: some fire, some are cancelled by an earlier event in the
-    # very same batch (per-event cancellation semantics inside a sweep).
+    # Timers: some fire, some are cancelled by an earlier event at the
+    # very same timestamp.
     timers = [sim.timer(partial(note, f"timer{i}")) for i in range(6)]
     for i, timer in enumerate(timers):
         timer.start(rng.choice([0.5, 1.0, 2.0]))
@@ -62,26 +71,27 @@ def _build_workload(sim: Simulator, seed: int, log: list) -> None:
     sim.schedule_at(2.0, lambda: (timers[5].cancel(), note("canceller"))[1])
 
 
-def _run(seed: int, batched: bool):
+def _run(seed: int, reference: bool):
     sim = Simulator(seed=0)
     log = []
     _build_workload(sim, seed, log)
-    executed = sim.run_batched() if batched else sim.run()
+    executed = _reference_run(sim) if reference else sim.run()
     return log, executed, sim.now, sim.events_processed, sim.queue.state_dict()
 
 
 @pytest.mark.parametrize("seed", range(10))
-def test_randomized_schedules_match_serial(seed):
-    assert _run(seed, batched=True) == _run(seed, batched=False)
+def test_randomized_schedules_match_reference(seed):
+    assert _run(seed, reference=False) == _run(seed, reference=True)
 
 
 # ----------------------------------------------------------------------
 # Same-tick semantics
 # ----------------------------------------------------------------------
-def _storm_with_midbatch_cancel(batched: bool):
+def _storm_with_same_tick_cancel(reference: bool):
     sim = Simulator()
     log = []
-    targets = [sim.schedule_at(1.0, partial(log.append, i)) for i in range(3)]
+    for i in range(3):
+        sim.schedule_at(1.0, partial(log.append, i))
 
     def killer():
         log.append("killer")
@@ -90,72 +100,71 @@ def _storm_with_midbatch_cancel(batched: bool):
 
     sim.schedule_at(1.0, killer)
     victim = sim.schedule_at(1.0, partial(log.append, "victim"))
-    targets.append(sim.schedule_at(1.0, partial(log.append, "tail")))
-    if batched:
-        sim.run_batched()
+    sim.schedule_at(1.0, partial(log.append, "tail"))
+    if reference:
+        _reference_run(sim)
     else:
         sim.run()
     return log, sim.events_processed, len(sim.queue)
 
 
-def test_midbatch_cancellation_matches_serial():
-    batched = _storm_with_midbatch_cancel(True)
-    serial = _storm_with_midbatch_cancel(False)
-    assert batched == serial
-    assert batched[0] == [0, 1, 2, "killer", "tail"]  # victim skipped
+def test_same_tick_cancellation_matches_reference():
+    kernel = _storm_with_same_tick_cancel(reference=False)
+    assert kernel == _storm_with_same_tick_cancel(reference=True)
+    assert kernel[0] == [0, 1, 2, "killer", "tail"]  # victim skipped
 
 
 def test_bulk_entries_fire_fifo_among_ties(sim):
     order = []
     sim.schedule_bulk(1.0, [partial(order.append, i) for i in range(50)])
-    sim.run_batched()
+    sim.run()
     assert order == list(range(50))
 
 
-def test_events_scheduled_during_batch_run_after_it(sim):
-    """A zero-delay event born inside a batch gets a higher sequence
-    number and must run after every pre-existing tie."""
+def test_events_scheduled_at_the_current_tick_run_after_its_ties(sim):
+    """A zero-delay event born at a tick gets a higher sequence number
+    and must run after every pre-existing tie."""
     order = []
     sim.schedule_at(1.0, lambda: (order.append("first"), sim.schedule(0.0, partial(order.append, "born"))))
     sim.schedule_at(1.0, partial(order.append, "second"))
-    sim.run_batched()
+    sim.run()
     assert order == ["first", "second", "born"]
 
 
-def test_until_boundary_inside_batched_run(sim):
+def test_until_boundary_between_ticks(sim):
     fired = []
     for t in (1.0, 1.0, 1.0, 2.0, 2.0):
         sim.schedule_at(t, partial(fired.append, t))
-    executed = sim.run_batched(until=1.5)
+    executed = sim.run(until=1.5)
     assert fired == [1.0, 1.0, 1.0]
     assert executed == 3 and sim.now == 1.5
-    sim.run_batched()
+    sim.run()
     assert fired == [1.0, 1.0, 1.0, 2.0, 2.0]
 
 
 # ----------------------------------------------------------------------
-# Early stops inside a batch: counters stay exact, the tail survives
+# Early stops inside a tick: counters stay exact, the tail survives
 # ----------------------------------------------------------------------
-def test_max_events_stops_midbatch_and_resumes(sim):
+def test_max_events_stops_inside_a_tick_and_resumes(sim):
     order = []
     for i in range(10):
         sim.schedule_at(1.0, partial(order.append, i))
-    executed = sim.run_batched(max_events=4)
+    executed = sim.run(max_events=4)
     assert executed == 4
     assert order == [0, 1, 2, 3]
     assert sim.events_processed == 4
     assert len(sim.queue) == 6
-    sim.run_batched()
+    sim.run()
     assert order == list(range(10))
     assert sim.events_processed == 10 and not sim.queue
 
 
-def test_exception_midbatch_leaves_counters_exact(sim):
+def test_exception_inside_a_tick_leaves_counters_exact(sim):
     order = []
 
     def boom():
         order.append("boom")
-        raise RuntimeError("mid-batch failure")
+        raise RuntimeError("mid-tick failure")
 
     for i in range(5):
         sim.schedule_at(1.0, partial(order.append, i))
@@ -163,44 +172,28 @@ def test_exception_midbatch_leaves_counters_exact(sim):
     for i in range(5, 9):
         sim.schedule_at(1.0, partial(order.append, i))
     with pytest.raises(RuntimeError):
-        sim.run_batched()
-    # The raising event counts as executed; the unrun tail is back on
-    # the heap and a later run completes it in order.
+        sim.run()
+    # The raising event counts as executed; the unrun tail stays queued
+    # and a later run completes it in order.
     assert order == [0, 1, 2, 3, 4, "boom"]
     assert sim.events_processed == 6
     assert len(sim.queue) == 4
-    sim.run_batched()
+    sim.run()
     assert order == [0, 1, 2, 3, 4, "boom", 5, 6, 7, 8]
 
 
-def test_run_batched_rejects_reentrant_calls(sim):
+def test_run_rejects_reentrant_calls(sim):
     caught = []
 
     def reenter():
         try:
-            sim.run_batched()
+            sim.run()
         except SimulationError as exc:
             caught.append(str(exc))
 
     sim.schedule_at(1.0, reenter)
-    sim.run_batched()
+    sim.run()
     assert caught and "re-entrantly" in caught[0]
-
-
-# ----------------------------------------------------------------------
-# default_batched delegation
-# ----------------------------------------------------------------------
-def test_default_batched_routes_run_through_the_batched_kernel(sim, monkeypatch):
-    calls = []
-
-    def spy(until=None, max_events=None):
-        calls.append((until, max_events))
-        return 0
-
-    monkeypatch.setattr(sim, "run_batched", spy)
-    monkeypatch.setattr(Simulator, "default_batched", True)
-    sim.run(until=3.0)
-    assert calls == [(3.0, None)]
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Unit tests for the deterministic engine driver."""
 
+from repro.backend import run
 from repro.ip.address import IPAddress
-from repro.telemetry.health import ProtocolHealth
 from repro.wire.conformance import figure1_walkthrough_spec
-from repro.wire.driver import EngineDriver, run_engine_spec
+from repro.wire.driver import EngineDriver
 from repro.wire.engine import Datagram, EngineOutput
 from repro.wire.topo import build_engine_world
 
@@ -99,16 +99,14 @@ class TestBootAndScheduling:
 
 class TestWalkthrough:
     def test_figure1_health_counts(self):
-        health = ProtocolHealth()
-        run_engine_spec(figure1_walkthrough_spec(), health=health)
-        summary = health.summary()
+        summary = run(figure1_walkthrough_spec(), backend="engine").health
         assert summary["moves"] == 3          # home, netD, netE
         assert summary["registrations"] == 2  # one per foreign cell
         assert summary["loops_dissolved"] == 0
         assert summary["packets_delivered"] > 0
 
     def test_figure1_echo_replies_observed(self):
-        driver = run_engine_spec(figure1_walkthrough_spec())
+        driver = run(figure1_walkthrough_spec(), backend="engine").detail
         replies = [
             event for _, event in driver.events
             if event.category == "icmp.echo"
@@ -120,7 +118,7 @@ class TestWalkthrough:
         """Same spec, two drivers: byte-identical event streams (the
         (time, sequence) heap tiebreak makes execution deterministic)."""
         def fingerprint():
-            driver = run_engine_spec(figure1_walkthrough_spec())
+            driver = run(figure1_walkthrough_spec(), backend="engine").detail
             return [
                 (t, e.category, e.node, sorted(
                     (k, str(v)) for k, v in e.detail.items()
@@ -135,7 +133,7 @@ class TestSnapshots:
     def test_role_state_round_trips(self):
         """state_dict()/load_state() (the PR 5 snapshot contract) still
         round-trips on the engine roles mid-scenario."""
-        driver = run_engine_spec(figure1_walkthrough_spec())
+        driver = run(figure1_walkthrough_spec(), backend="engine").detail
         fresh = build_engine_world({"kind": "figure1"})
         checked = 0
         for name, router in driver.topo.roles.items():
