@@ -31,21 +31,25 @@ class IPAddress:
     :class:`IPAddress` (copied).
     """
 
-    __slots__ = ("_value",)
+    __slots__ = ("_value", "_hash", "_text")
 
     def __init__(self, value: Union[str, int, "IPAddress"]) -> None:
+        # Slots are written through their descriptors (``__setattr__``
+        # is blocked); the hash and the dotted text are computed on
+        # first use and kept.
         if isinstance(value, IPAddress):
-            object.__setattr__(self, "_value", value._value)
+            _set_value(self, value._value)
+            _set_hash(self, value._hash)
             return
         if isinstance(value, int):
             if not 0 <= value < 2**32:
                 raise AddressError(f"integer address out of range: {value!r}")
-            object.__setattr__(self, "_value", value)
-            return
-        if isinstance(value, str):
-            object.__setattr__(self, "_value", self._parse(value))
-            return
-        raise AddressError(f"cannot interpret {value!r} as an IPv4 address")
+        elif isinstance(value, str):
+            value = self._parse(value)
+        else:
+            raise AddressError(f"cannot interpret {value!r} as an IPv4 address")
+        _set_value(self, value)
+        _set_hash(self, None)
 
     @staticmethod
     def _parse(text: str) -> int:
@@ -103,7 +107,7 @@ class IPAddress:
 
     # -- comparisons / hashing -------------------------------------------
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, IPAddress):
+        if type(other) is IPAddress or isinstance(other, IPAddress):
             return self._value == other._value
         if isinstance(other, (str, int)):
             try:
@@ -118,14 +122,32 @@ class IPAddress:
         return self._value < other._value
 
     def __hash__(self) -> int:
-        return hash(("IPAddress", self._value))
+        cached = self._hash
+        if cached is None:
+            cached = hash(("IPAddress", self._value))
+            _set_hash(self, cached)
+        return cached
 
     def __str__(self) -> str:
-        v = self._value
-        return f"{(v >> 24) & 0xFF}.{(v >> 16) & 0xFF}.{(v >> 8) & 0xFF}.{v & 0xFF}"
+        try:
+            return self._text
+        except AttributeError:
+            text = format_ipv4(self._value)
+            _set_text(self, text)
+            return text
 
     def __repr__(self) -> str:
         return f"IPAddress({str(self)!r})"
+
+
+_set_value = IPAddress._value.__set__
+_set_hash = IPAddress._hash.__set__
+_set_text = IPAddress._text.__set__
+
+
+def format_ipv4(value: int) -> str:
+    """Dotted-quad text of a 32-bit address integer."""
+    return f"{(value >> 24) & 0xFF}.{(value >> 16) & 0xFF}.{(value >> 8) & 0xFF}.{value & 0xFF}"
 
 
 class IPNetwork:
@@ -136,7 +158,7 @@ class IPNetwork:
     silently mask keeps configuration mistakes loud.
     """
 
-    __slots__ = ("_address", "_prefix_len")
+    __slots__ = ("_address", "_prefix_len", "_broadcast")
 
     def __init__(
         self,
@@ -208,8 +230,13 @@ class IPNetwork:
 
     @property
     def broadcast(self) -> IPAddress:
-        """The directed broadcast address of this network."""
-        return IPAddress(self._address.value | (self.num_addresses - 1))
+        """The directed broadcast address of this network (computed once)."""
+        try:
+            return self._broadcast
+        except AttributeError:
+            broadcast = IPAddress(self._address.value | (self.num_addresses - 1))
+            object.__setattr__(self, "_broadcast", broadcast)
+            return broadcast
 
     def contains(self, address: Union[str, int, IPAddress]) -> bool:
         """Whether ``address`` falls within this network."""

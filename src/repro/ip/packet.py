@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Protocol, Tuple, runtime_checkable
 
 from repro.errors import PacketError
-from repro.ip.address import IPAddress
+from repro.ip.address import IPAddress, format_ipv4
 from repro.ip.checksum import internet_checksum
 from repro.ip.options import (
     IPOptionLike,
@@ -26,6 +26,7 @@ from repro.ip.options import (
     serialize_options,
 )
 from repro.ip.protocols import protocol_name
+from repro.netsim.trace import TraceLabel
 
 #: Default initial time-to-live, matching 1990s BSD practice.
 DEFAULT_TTL = 64
@@ -74,6 +75,30 @@ class RawPayload:
         return self.data
 
 
+class PacketLabel(TraceLabel):
+    """What ``repr(packet)`` prints, captured as numbers when a packet
+    is traced: ``(uid, src, dst, protocol, ttl, total_length)``.
+
+    Packets are rewritten in place after they are traced (TTL, tunnel
+    addresses, payload, the MHRP previous-source list), so the trace
+    keeps these values from record time and formats them only when an
+    entry's ``detail`` is read.  ``str(label) == repr(packet)`` as the
+    packet was at record time.
+    """
+
+    __slots__ = ()
+
+    def __str__(self) -> str:
+        uid, src, dst, protocol, ttl, length = self
+        return (
+            f"<IPPacket #{uid} {format_ipv4(src)}->{format_ipv4(dst)} "
+            f"{protocol_name(protocol)} ttl={ttl} len={length}>"
+        )
+
+
+_new_label = tuple.__new__
+
+
 @dataclass(slots=True)
 class IPPacket:
     """An IPv4 packet.
@@ -105,8 +130,11 @@ class IPPacket:
     )
 
     def __post_init__(self) -> None:
-        self.src = IPAddress(self.src)
-        self.dst = IPAddress(self.dst)
+        # Addresses are immutable: an IPAddress argument is shared as is.
+        if type(self.src) is not IPAddress:
+            self.src = IPAddress(self.src)
+        if type(self.dst) is not IPAddress:
+            self.dst = IPAddress(self.dst)
         if not 0 <= self.protocol <= 255:
             raise PacketError(f"protocol number out of range: {self.protocol}")
         if not 0 <= self.ttl <= 255:
@@ -118,7 +146,10 @@ class IPPacket:
     @property
     def header_length(self) -> int:
         """IP header size in bytes, including padded options."""
-        return BASE_HEADER_LEN + options_byte_length(self.options)
+        options = self.options
+        if not options:
+            return BASE_HEADER_LEN
+        return BASE_HEADER_LEN + options_byte_length(options)
 
     @property
     def total_length(self) -> int:
@@ -192,8 +223,13 @@ class IPPacket:
             uid=self.uid,
         )
 
+    def trace_label(self) -> PacketLabel:
+        """A record-time snapshot of this packet's ``repr`` for the
+        tracer (formatted only when the trace is read)."""
+        return _new_label(PacketLabel, (
+            self.uid, self.src.value, self.dst.value, self.protocol,
+            self.ttl, self.total_length,
+        ))
+
     def __repr__(self) -> str:
-        return (
-            f"<IPPacket #{self.uid} {self.src}->{self.dst} "
-            f"{protocol_name(self.protocol)} ttl={self.ttl} len={self.total_length}>"
-        )
+        return str(self.trace_label())

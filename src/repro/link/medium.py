@@ -20,6 +20,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.link.interface import NetworkInterface
 
 
+def _trace_value(payload: object) -> object:
+    """How a frame's payload is traced: an IP packet as its record-time
+    label (formatted when the trace is read), anything else (ARP) as its
+    ``repr``."""
+    label = getattr(payload, "trace_label", None)
+    return label() if label is not None else repr(payload)
+
+
 class Medium:
     """Base class for all transmission media.
 
@@ -92,15 +100,17 @@ class Medium:
         if not self.is_attached(sender):
             raise LinkError(f"{sender} transmitting on {self.name} while detached")
         self.frames_transmitted += 1
-        self.bytes_transmitted += frame.byte_length
+        byte_length = frame.byte_length
+        self.bytes_transmitted += byte_length
         if self.sim.trace_active("link.tx"):
+            payload = frame.payload
             self.sim.trace(
                 "link.tx",
                 sender.node_name,
                 medium=self.name,
-                frame=repr(frame.payload),
-                bytes=frame.byte_length,
-                uid=getattr(frame.payload, "uid", None),
+                frame=_trace_value(payload),
+                bytes=byte_length,
+                uid=getattr(payload, "uid", None),
             )
         if frame.is_broadcast:
             # Coalesced fan-out: one delivery event carries the whole
@@ -202,7 +212,8 @@ class Medium:
             return
         if self.sim.trace_active("link.rx"):
             self.sim.trace(
-                "link.rx", target.node_name, medium=self.name, frame=repr(frame.payload)
+                "link.rx", target.node_name, medium=self.name,
+                frame=_trace_value(frame.payload),
             )
         target.receive_frame(frame)
 

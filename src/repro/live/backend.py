@@ -20,6 +20,7 @@ is exactly why the conformance projections compare per-node event
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 import logging
 from functools import partial
@@ -436,6 +437,21 @@ class LiveRun(ScheduleActions):
             self.metrics_port = await self._metrics_server.start()
         if self.snapshot_path is not None:
             self._snapshot_file = open(self.snapshot_path, "w")
+        # A full collection of the heap that existed before the run
+        # stalls the loop for tens of milliseconds, over a virtual
+        # second at the default speed: longer than the registration
+        # retry.  Collections during the run scan only what it allocates.
+        freeze = gc.get_freeze_count() == 0
+        if freeze:
+            gc.freeze()
+        try:
+            await self._run_to_horizon()
+        finally:
+            if freeze:
+                gc.unfreeze()
+        return self
+
+    async def _run_to_horizon(self) -> None:
         self.clock.start()
         for node in self.world.nodes.values():
             self.process(node, node.start(self.now))
@@ -462,4 +478,3 @@ class LiveRun(ScheduleActions):
             self._snapshot_file.close()
             self._snapshot_file = None
         await asyncio.sleep(0)
-        return self

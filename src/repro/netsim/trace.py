@@ -5,12 +5,17 @@ benchmarks use it to assert on protocol behaviour (e.g. "exactly one
 location update was sent to S") without reaching into component internals.
 Categories are free-form strings; the conventional ones are listed in
 :data:`CATEGORIES`.
+
+Recording is the hot path and reading is rare, so entries are cheap
+immutable snapshots: a packet is stored as a :class:`TraceLabel` (a
+tuple of the numbers its ``repr`` prints, taken at record time) and
+turned into text only when an entry's ``detail`` is read.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Callable, Iterator, MutableSequence, Optional
 
 #: Conventional trace categories emitted by the library.
@@ -32,24 +37,85 @@ CATEGORIES = (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class TraceEntry:
-    """One traced occurrence."""
+class TraceLabel(tuple):
+    """A record-time snapshot stored as a detail value, shown as text.
 
-    time: float
-    category: str
-    node: str
-    detail: dict[str, Any] = field(default_factory=dict)
+    Subclasses hold the numbers a label prints and define ``__str__``;
+    :attr:`TraceEntry.detail` replaces each label by its ``str``, so
+    readers only ever see text.
+    """
+
+    __slots__ = ()
+
+
+class TraceEntry(tuple):
+    """One traced occurrence: ``time``, ``category``, ``node``, ``detail``.
+
+    An immutable record; build it with keywords (``TraceEntry(time=...,
+    category=..., node=..., detail=...)``) or positionally.  ``detail``
+    reads as a dict of the recorded values with every
+    :class:`TraceLabel` formatted to its text.  Entries are immutable
+    once recorded (nothing may mutate ``detail`` after the fact), so
+    deep copies (session snapshots) share rather than duplicate them —
+    copying the full history would dominate fork cost.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        time: float,
+        category: str,
+        node: str,
+        detail: Optional[dict[str, Any]] = None,
+    ) -> "TraceEntry":
+        return _new_entry(cls, (time, category, node, {} if detail is None else detail))
+
+    time = property(itemgetter(0), doc="Simulation time of the occurrence.")
+    category = property(itemgetter(1), doc="Trace category, e.g. ``ip.forward``.")
+    node = property(itemgetter(2), doc="Name of the node it happened at.")
+
+    @property
+    def detail(self) -> dict[str, Any]:
+        """The recorded key/value detail, labels formatted to text."""
+        detail = self[3]
+        for value in detail.values():
+            if isinstance(value, TraceLabel):
+                return {
+                    k: str(v) if isinstance(v, TraceLabel) else v
+                    for k, v in detail.items()
+                }
+        return detail
 
     def __str__(self) -> str:
-        parts = " ".join(f"{k}={v}" for k, v in self.detail.items())
-        return f"[{self.time:10.6f}] {self.category:<14} {self.node:<12} {parts}"
+        parts = " ".join(f"{k}={v}" for k, v in self[3].items())
+        return f"[{self[0]:10.6f}] {self[1]:<14} {self[2]:<12} {parts}"
 
-    # Entries are immutable once recorded (nothing may mutate ``detail``
-    # after the fact), so session snapshots share rather than duplicate
-    # them — copying the full history would dominate fork cost.
+    def __repr__(self) -> str:
+        return (
+            f"TraceEntry(time={self[0]!r}, category={self[1]!r}, "
+            f"node={self[2]!r}, detail={self.detail!r})"
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TraceEntry):
+            return NotImplemented
+        return self[:3] == other[:3] and self.detail == other.detail
+
+    def __ne__(self, other: object) -> bool:
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    __hash__ = None  # type: ignore[assignment]  # detail is a dict
+
     def __deepcopy__(self, memo: dict) -> "TraceEntry":
         return self
+
+    def __reduce__(self):
+        return (TraceEntry, tuple(self))
+
+
+_new_entry = tuple.__new__
 
 
 class Tracer:
@@ -73,7 +139,13 @@ class Tracer:
         self.dropped = 0
         self._max_entries: Optional[int] = None
         self._allowed: Optional[set[str]] = None
-        self._listeners: list[Callable[[TraceEntry], None]] = []
+        #: ``(listener, categories or None)`` in subscription order.
+        self._listeners: list[tuple[Callable[[TraceEntry], None], Optional[frozenset]]] = []
+        #: category -> the listeners it is dispatched to (derived from
+        #: ``_listeners``, rebuilt on demand after any change).
+        self._routes: dict[str, tuple] = {}
+        #: Listeners owed every entry but not fed yet (see :meth:`defer`).
+        self._deferred: list[Callable[[TraceEntry], None]] = []
         if max_entries is not None:
             self.limit(max_entries)
 
@@ -92,6 +164,7 @@ class Tracer:
         if max_entries is None:
             self.entries = list(self.entries)
         else:
+            self.catch_up()  # a ring discards entries a replay would need
             self.dropped += max(len(self.entries) - max_entries, 0)
             self.entries = deque(self.entries, maxlen=max_entries)
         self._max_entries = max_entries
@@ -100,33 +173,80 @@ class Tracer:
         """Record only the given categories (``None`` = record everything)."""
         self._allowed = set(categories) if categories is not None else None
 
-    def subscribe(self, listener: Callable[[TraceEntry], None]) -> None:
-        """Invoke ``listener`` for every recorded entry (after filtering)."""
-        self._listeners.append(listener)
+    def subscribe(
+        self,
+        listener: Callable[[TraceEntry], None],
+        categories: Optional[set[str]] = None,
+    ) -> None:
+        """Invoke ``listener`` for every recorded entry (after filtering),
+        or only for entries whose category is in ``categories``."""
+        self._listeners.append(
+            (listener, frozenset(categories) if categories is not None else None)
+        )
+        self._routes = {}
 
     def unsubscribe(self, listener: Callable[[TraceEntry], None]) -> bool:
-        """Remove a listener previously passed to :meth:`subscribe`.
+        """Remove a listener previously passed to :meth:`subscribe` (or
+        :meth:`defer`, which first feeds it what it is owed).
 
         Returns ``True`` if it was found.  Matching is by equality, which
         for bound methods means "same method of the same object" — so an
         instrument can unsubscribe the bound listener it subscribed with.
         """
-        try:
-            self._listeners.remove(listener)
-            return True
-        except ValueError:
-            return False
+        self.catch_up(listener)
+        for i, (subscribed, _) in enumerate(self._listeners):
+            if subscribed == listener:
+                del self._listeners[i]
+                self._routes = {}
+                return True
+        return False
+
+    def defer(self, listener: Callable[[TraceEntry], None]) -> None:
+        """Subscribe ``listener`` to every entry — those already retained
+        and each later one — but feed it only when :meth:`catch_up` is
+        called, by replaying the retained entries.
+
+        A consumer that is rarely read (the health hub's journey index)
+        then costs nothing per entry until it is.  Replay equals
+        streaming only while no retained entry is discarded, so the
+        tracer catches deferred listeners up itself before :meth:`clear`
+        or a switch to a ring bound, and a ring-bounded tracer catches a
+        new one up at once.
+        """
+        self._deferred.append(listener)
+        if self._max_entries is not None:
+            self.catch_up(listener)
+
+    def catch_up(self, listener: Optional[Callable[[TraceEntry], None]] = None) -> None:
+        """Feed a deferred ``listener`` (every one, with ``None``) the
+        retained entries, then subscribe it to later ones.  A listener
+        that is not deferred is left alone."""
+        if listener is None:
+            pending, self._deferred = self._deferred, []
+        elif listener in self._deferred:
+            self._deferred.remove(listener)
+            pending = [listener]
+        else:
+            return
+        for owed in pending:
+            for entry in list(self.entries):
+                owed(entry)
+            self.subscribe(owed)
+
+    def listeners(self) -> list[Callable[[TraceEntry], None]]:
+        """Every subscribed listener, deferred ones included."""
+        return [listener for listener, _ in self._listeners] + self._deferred
 
     def active(self, category: str) -> bool:
         """Whether a :meth:`record` call for ``category`` would store an
         entry right now.
 
         Hot-path callers guard with this *before* building the ``detail``
-        kwargs (which usually means ``repr()``-ing a packet or frame), so
-        a disabled or restricted tracer costs nothing per packet::
+        kwargs (a packet label, a frame's size), so a disabled or
+        restricted tracer costs nothing per packet::
 
             if sim.trace_active("ip.forward"):
-                sim.trace("ip.forward", name, packet=repr(packet), ...)
+                sim.trace("ip.forward", name, packet=packet.trace_label(), ...)
 
         The condition mirrors :meth:`record` exactly, including listener
         visibility (listeners only ever see entries that pass the
@@ -137,18 +257,48 @@ class Tracer:
         allowed = self._allowed
         return allowed is None or category in allowed
 
-    def record(self, time: float, category: str, node: str, **detail: Any) -> None:
-        """Record one entry if tracing is enabled and the category allowed."""
+    def record(
+        self,
+        time: float,
+        category: str,
+        node: str,
+        fields: Optional[dict[str, Any]] = None,
+        /,
+        **detail: Any,
+    ) -> None:
+        """Record one entry if tracing is enabled and the category allowed.
+
+        The detail comes as keywords, or as a ready-built ``fields`` dict
+        that the entry then owns (:meth:`Simulator.trace
+        <repro.netsim.simulator.Simulator.trace>` passes its own kwargs
+        this way instead of packing them a second time).
+        """
         if not self.enabled:
             return
-        if self._allowed is not None and category not in self._allowed:
+        allowed = self._allowed
+        if allowed is not None and category not in allowed:
             return
-        entry = TraceEntry(time=time, category=category, node=node, detail=detail)
-        if self._max_entries is not None and len(self.entries) == self._max_entries:
+        entry = _new_entry(
+            TraceEntry, (time, category, node, detail if fields is None else fields)
+        )
+        entries = self.entries
+        if self._max_entries is not None and len(entries) == self._max_entries:
             self.dropped += 1
-        self.entries.append(entry)
-        for listener in self._listeners:
+        entries.append(entry)
+        listeners = self._routes.get(category)
+        if listeners is None:
+            listeners = self._route(category)
+        for listener in listeners:
             listener(entry)
+
+    def _route(self, category: str) -> tuple:
+        listeners = tuple(
+            listener
+            for listener, categories in self._listeners
+            if categories is None or category in categories
+        )
+        self._routes[category] = listeners
+        return listeners
 
     def _matching(
         self,
@@ -191,6 +341,7 @@ class Tracer:
         return iter(self.entries)
 
     def clear(self) -> None:
+        self.catch_up()  # deferred listeners are owed what is cleared
         self.entries.clear()
         self.dropped = 0
 
@@ -207,7 +358,7 @@ class Tracer:
             "max_entries": self._max_entries,
             "allowed": sorted(self._allowed) if self._allowed is not None else None,
             "n_entries": len(self.entries),
-            "n_listeners": len(self._listeners),
+            "n_listeners": len(self._listeners) + len(self._deferred),
         }
 
     def load_state(self, state: dict) -> None:

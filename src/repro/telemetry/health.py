@@ -12,8 +12,14 @@
 - **the tracer stream** — a ``Tracer.subscribe`` listener consumes the
   MHRP control-plane events (``mhrp.tunnel``, ``mhrp.loop``) already
   emitted for tests, turning them into tunnel-chain lengths and
-  loop-dissolution times.  Listeners see every recorded entry even
-  under a ring-buffer bound, so memory stays bounded on long runs.
+  loop-dissolution times.  It subscribes to those two categories only.
+  Listeners see every recorded entry even under a ring-buffer bound,
+  so memory stays bounded on long runs.
+
+The hub's :attr:`~ProtocolHealth.index` (per-packet journeys) is built
+on first read by replaying the tracer's retained entries, then streams;
+a run nobody inspects never pays for it.  Under a ring-bounded tracer,
+where replay would miss entries, it streams from attach time instead.
 
 What the hub measures (the quantities Sections 5 and 7 of the paper
 argue about, and the ones the handover-performance literature
@@ -58,6 +64,9 @@ ENCAP_EVENTS = frozenset({
     "home-retunnel",
     "fa-retunnel",
 })
+
+#: Trace categories the hub's listener consumes.
+TRACE_CATEGORIES = frozenset({"mhrp.tunnel", "mhrp.loop"})
 
 #: ICMP payload types that are control traffic, not application data.
 _CONTROL_PAYLOADS = (LocationUpdate, RouterAdvertisement, RouterSolicitation, ICMPError)
@@ -131,9 +140,10 @@ class ProtocolHealth:
         self.inflight_evicted = 0
         self._last_delivery: Dict[str, float] = {}
         self._pending_blackout: Dict[str, float] = {}
-        self.index: Optional[JourneyIndex] = (
+        self._index: Optional[JourneyIndex] = (
             JourneyIndex(max_completed=max_completed_journeys) if journey_index else None
         )
+        self._subscribed = False
         self.sim = None
         self._nodes: Optional[list] = None
         self._dist_cache: Dict[Tuple[str, str], Optional[int]] = {}
@@ -162,18 +172,30 @@ class ProtocolHealth:
             self._nodes = list(nodes)
         self._subscribed = subscribe_trace
         if subscribe_trace:
-            sim.tracer.subscribe(self._on_trace)
-            if self.index is not None:
-                self.index.attach(sim.tracer, replay=True)
+            sim.tracer.subscribe(self._on_trace, categories=TRACE_CATEGORIES)
+            if self._index is not None:
+                # Replayed from the retained entries on first read of
+                # :attr:`index` (the tracer streams to it at once when
+                # ring-bounded).
+                sim.tracer.defer(self._index.observe)
 
     def unbind(self, sim) -> None:
         """Instrument-registry hook: withdraw the tracer listeners."""
-        if getattr(self, "_subscribed", False):
+        if self._subscribed:
             sim.tracer.unsubscribe(self._on_trace)
-            if self.index is not None:
-                sim.tracer.unsubscribe(self.index.observe)
+            if self._index is not None:
+                sim.tracer.unsubscribe(self._index.observe)
         self._subscribed = False
         self.sim = None
+
+    @property
+    def index(self) -> Optional[JourneyIndex]:
+        """The per-packet :class:`JourneyIndex` (``None`` if disabled),
+        brought up to date with every entry traced since attach."""
+        index = self._index
+        if index is not None and self._subscribed:
+            self.sim.tracer.catch_up(index.observe)
+        return index
 
     # ------------------------------------------------------------------
     # Direct dataplane hooks (called through sim.telemetry)
@@ -191,8 +213,13 @@ class ProtocolHealth:
         if flight is not None:
             flight.forwards += 1
 
-    def packet_delivered(self, t: float, node: str, packet: IPPacket) -> None:
-        proto = packet.protocol
+    def packet_delivered(
+        self, t: float, node: str, packet: IPPacket, protocol: Optional[int] = None
+    ) -> None:
+        """``protocol`` is the packet's protocol at delivery, for feeds
+        that see the packet only after a handler rewrote it in place
+        (default: ``packet.protocol``)."""
+        proto = packet.protocol if protocol is None else protocol
         if proto == PROTO_MHRP:
             # A tunnel endpoint: the agent will decapsulate (or
             # re-tunnel) and push the packet out on another link, a hop

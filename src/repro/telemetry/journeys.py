@@ -145,17 +145,22 @@ class JourneyIndex:
     # The streaming path
     # ------------------------------------------------------------------
     def observe(self, entry: TraceEntry) -> None:
-        """Absorb one trace entry (listener-compatible)."""
+        """Absorb one trace entry (listener-compatible).
+
+        The step shares the entry's ``detail`` rather than copying it:
+        trace entries are immutable by contract.
+        """
         self.entries_seen += 1
-        uid = entry.detail.get("uid")
+        category = entry.category
+        kind = _KIND_BY_CATEGORY.get(category)
+        if kind is None and category != "mhrp.tunnel":
+            return
+        detail = entry.detail
+        uid = detail.get("uid")
         if uid is None:
             return
-        kind = _KIND_BY_CATEGORY.get(entry.category)
         if kind is None:
-            if entry.category == "mhrp.tunnel":
-                kind = f"mhrp:{entry.detail.get('event', '?')}"
-            else:
-                return
+            kind = f"mhrp:{detail.get('event', '?')}"
         journey = self._journeys.get(uid)
         if journey is None:
             journey = Journey(uid=uid)
@@ -165,7 +170,7 @@ class JourneyIndex:
             # (tunnel-endpoint delivery): re-open it.
             del self._completed[uid]
         journey.steps.append(JourneyStep(
-            time=entry.time, node=entry.node, kind=kind, detail=dict(entry.detail)
+            time=entry.time, node=entry.node, kind=kind, detail=detail
         ))
         if kind == "deliver" or kind == "drop":
             self._completed[uid] = None

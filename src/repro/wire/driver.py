@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.errors import ConfigurationError
 from repro.ip.address import IPAddress
 from repro.netsim.trace import TraceEntry
+from repro.telemetry.health import TRACE_CATEGORIES
 from repro.wire.engine import Datagram, EngineEvent, EngineOutput, NodeEngine
 from repro.wire.topo import EngineTopology
 
@@ -41,10 +42,11 @@ class HealthFeed:
     - ``packet.*`` events carry the decoded packet and map onto the
       direct packet-lifecycle hooks;
     - ``health.*`` events map onto the direct telemetry feeds;
-    - everything else (``mhrp.*``, ``icmp.echo``, ``fault``) becomes a
-      :class:`TraceEntry` pushed through the tracer channel, so the
-      trace-driven analytics (tunnel chains, loop dissolution latency,
-      registration give-ups) see the identical vocabulary.
+    - the categories the hub's tracer listener subscribes to
+      (``mhrp.tunnel``, ``mhrp.loop``) become a :class:`TraceEntry`
+      pushed through the tracer channel, so the trace-driven analytics
+      (tunnel chains, loop dissolution latency) see the identical
+      vocabulary.
     """
 
     def __init__(self, health) -> None:
@@ -62,7 +64,9 @@ class HealthFeed:
             elif kind == "forwarded":
                 health.packet_forwarded(time, event.node, event.packet)
             elif kind == "delivered":
-                health.packet_delivered(time, event.node, event.packet)
+                health.packet_delivered(
+                    time, event.node, event.packet, event.detail["protocol"]
+                )
             elif kind == "dropped":
                 health.packet_dropped(
                     time, event.node, event.packet, event.detail["reason"]
@@ -83,7 +87,7 @@ class HealthFeed:
                     time, event.node, detail["mobile_host"],
                     detail["n_previous_sources"],
                 )
-        else:
+        elif category in TRACE_CATEGORIES:
             health._on_trace(TraceEntry(
                 time=time, category=category, node=event.node,
                 detail=dict(event.detail),

@@ -381,7 +381,10 @@ class NodeEngine:
 
     def _deliver_local(self, packet: IPPacket, iface_name: Optional[str]) -> None:
         self.counters["delivered"] += 1
-        self._packet_event("delivered", packet)
+        # The handler below may rewrite the packet in place (MHRP
+        # decapsulation) before the event is consumed: record the
+        # protocol it was delivered with.
+        self._packet_event("delivered", packet, protocol=packet.protocol)
         handler = self._protocol_handlers.get(packet.protocol)
         if handler is not None:
             handler(packet, iface_name)

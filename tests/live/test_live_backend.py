@@ -203,3 +203,26 @@ class TestRuntimeSampler:
             if k.startswith("live_datagrams_total") and "direction=rx" in k
         )
         assert rx == attached.datagrams_received
+
+
+class TestGarbageCollection:
+    def test_run_collects_only_what_it_allocates(self, monkeypatch):
+        """A full collection of the pre-run heap would stall the loop by
+        more than a virtual second at the default speed, so the run
+        freezes that heap and thaws it afterwards."""
+        import gc
+
+        frozen_during = []
+        run_to_horizon = LiveRun._run_to_horizon
+
+        async def probe(self):
+            frozen_during.append(gc.get_freeze_count())
+            await run_to_horizon(self)
+
+        monkeypatch.setattr(LiveRun, "_run_to_horizon", probe)
+        spec = figure1_walkthrough_spec()
+        spec.horizon = 1.0
+        assert gc.get_freeze_count() == 0
+        backend.run(spec, "live")
+        assert frozen_during and frozen_during[0] > 0
+        assert gc.get_freeze_count() == 0

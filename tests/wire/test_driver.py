@@ -218,3 +218,28 @@ class TestLocalQueryRecovery:
             and e.detail.get("event") == "reply-received"
         ])
         assert replies_after == replies_before + 1
+
+
+def _ping_storm_spec(pings):
+    """Figure 1 with M settled in net D, then ``pings`` echo requests
+    from S to M's home address (every one tunneled through R4)."""
+    spec = figure1_walkthrough_spec()
+    spec.moves = [{"t": 0.0, "host": 0, "to": -1}, {"t": 5.0, "host": 0, "to": 0}]
+    spec.pings = [
+        {"t": 10.0 + 0.25 * i, "src": 0, "host": 0} for i in range(pings)
+    ]
+    spec.horizon = 10.0 + 0.25 * pings + 5.0
+    return spec
+
+
+class TestHealthFeed:
+    def test_backends_agree_on_deliveries(self):
+        """The foreign agent decapsulates a delivered packet in place;
+        health must still see it as the MHRP packet it delivered (a
+        tunnel endpoint), not as a second data delivery."""
+        spec = _ping_storm_spec(20)
+        sim = run(spec, "sim").health
+        engine = run(spec, "engine").health
+        assert sim["packets_delivered"] == 40  # 20 requests + 20 replies
+        assert engine["packets_delivered"] == sim["packets_delivered"]
+        assert engine["latency_ms_n"] == sim["latency_ms_n"]
