@@ -31,12 +31,14 @@ implementation's default bound.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import List
 
 from repro.errors import PacketError
 from repro.ip.address import IPAddress
-from repro.ip.checksum import internet_checksum
+from repro.ip.checksum import checksum_from_sum, internet_checksum
 from repro.ip.packet import Payload
 
 #: Default bound on the previous-source list (Section 4.4 allows "any
@@ -45,6 +47,13 @@ DEFAULT_MAX_PREVIOUS_SOURCES = 8
 
 #: Fixed part of the header: orig proto + count + checksum + mobile host.
 FIXED_HEADER_LEN = 8
+
+
+@lru_cache(maxsize=256)
+def _header_struct(count: int) -> struct.Struct:
+    """The header layout with ``count`` previous sources (the count
+    field is one byte, so at most 256 layouts exist)."""
+    return struct.Struct(f"!BBHI{count}I")
 
 
 @dataclass
@@ -58,7 +67,9 @@ class MHRPHeader:
     def __post_init__(self) -> None:
         if not 0 <= self.orig_protocol <= 255:
             raise PacketError(f"protocol out of range: {self.orig_protocol}")
-        self.mobile_host = IPAddress(self.mobile_host)
+        # Addresses are immutable: an IPAddress argument is shared as is.
+        if type(self.mobile_host) is not IPAddress:
+            self.mobile_host = IPAddress(self.mobile_host)
 
     @property
     def count(self) -> int:
@@ -86,18 +97,21 @@ class MHRPHeader:
 
     def to_bytes(self) -> bytes:
         """Exact wire encoding, with a valid internet checksum."""
-        if self.count > 255:
+        count = len(self.previous_sources)
+        if count > 255:
             raise PacketError("previous-source list too long for count field")
-        body = bytearray()
-        body.append(self.orig_protocol)
-        body.append(self.count)
-        body += b"\x00\x00"  # checksum slot
-        body += self.mobile_host.to_bytes()
-        for address in self.previous_sources:
-            body += address.to_bytes()
-        csum = internet_checksum(bytes(body))
-        body[2:4] = csum.to_bytes(2, "big")
-        return bytes(body)
+        mobile_host = self.mobile_host._value
+        sources = [address._value for address in self.previous_sources]
+        # Word sum in closed form (see repro.ip.checksum).
+        csum = checksum_from_sum(
+            (self.orig_protocol << 8) + count + mobile_host + sum(sources)
+        )
+        try:
+            return _header_struct(count).pack(
+                self.orig_protocol, count, csum, mobile_host, *sources
+            )
+        except struct.error as exc:
+            raise PacketError(f"MHRP header field out of range: {exc}") from None
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "MHRPHeader":
@@ -118,14 +132,13 @@ class MHRPHeader:
                 f"MHRP header has {len(data) - needed} trailing byte(s) "
                 f"past the {count}-source header"
             )
-        if internet_checksum(data[:needed]) != 0:
+        if internet_checksum(data) != 0:
             raise PacketError("MHRP header checksum mismatch")
-        mobile_host = IPAddress.from_bytes(data[4:8])
-        sources = [
-            IPAddress.from_bytes(data[8 + 4 * i : 12 + 4 * i]) for i in range(count)
-        ]
+        orig_protocol, _, _, mobile_host, *sources = _header_struct(count).unpack(data)
         return cls(
-            orig_protocol=data[0], mobile_host=mobile_host, previous_sources=sources
+            orig_protocol=orig_protocol,
+            mobile_host=IPAddress(mobile_host),
+            previous_sources=[IPAddress(value) for value in sources],
         )
 
     def copy(self) -> "MHRPHeader":

@@ -13,12 +13,13 @@ and MHRP-encapsulated payloads all implement it.
 from __future__ import annotations
 
 import itertools
+import struct
 from dataclasses import dataclass, field
 from typing import List, Optional, Protocol, Tuple, runtime_checkable
 
 from repro.errors import PacketError
 from repro.ip.address import IPAddress, format_ipv4
-from repro.ip.checksum import internet_checksum
+from repro.ip.checksum import checksum_from_sum, internet_checksum
 from repro.ip.options import (
     IPOptionLike,
     LSRROption,
@@ -33,6 +34,11 @@ DEFAULT_TTL = 64
 
 #: Fixed IPv4 header size without options.
 BASE_HEADER_LEN = 20
+
+#: The options-free IPv4 header: version/IHL, TOS, total length,
+#: identification, flags/fragment offset, TTL, protocol, checksum,
+#: source, destination.
+HEADER_STRUCT = struct.Struct("!BBHHHBBHII")
 
 _packet_ids = itertools.count(1)
 
@@ -183,7 +189,34 @@ class IPPacket:
     # Serialization
     # ------------------------------------------------------------------
     def to_bytes(self) -> bytes:
-        """Serialize to the exact IPv4 wire format."""
+        """Serialize to the exact IPv4 wire format.
+
+        Without options, a field that does not fit its wire width (a TTL
+        or TOS over 255, a total length over 65535) raises
+        :class:`PacketError`.
+        """
+        if self.options:
+            return self._to_bytes_with_options()
+        payload = self.payload
+        total_length = BASE_HEADER_LEN + payload.byte_length
+        identification = self.identification & 0xFFFF
+        src, dst = self.src._value, self.dst._value
+        # The header's word sum in closed form (see repro.ip.checksum);
+        # the version/IHL byte 0x45 keeps it non-zero.
+        csum = checksum_from_sum(
+            0x4500 + self.tos + total_length + identification
+            + (self.ttl << 8) + self.protocol + src + dst
+        )
+        try:
+            header = HEADER_STRUCT.pack(
+                0x45, self.tos, total_length, identification, 0,
+                self.ttl, self.protocol, csum, src, dst,
+            )
+        except struct.error as exc:
+            raise PacketError(f"IP header field out of range: {exc}") from None
+        return header + payload.to_bytes()
+
+    def _to_bytes_with_options(self) -> bytes:
         ihl_words = self.header_length // 4
         if ihl_words > 15:
             raise PacketError("options too long for IHL field")

@@ -27,7 +27,7 @@ from functools import partial
 from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
-from repro.wire.driver import HealthFeed, ScheduleActions
+from repro.wire.driver import HealthFeed, ScheduleActions, TimerSlots, record_turn
 from repro.wire.engine import Datagram, EngineEvent, EngineOutput, NodeEngine
 from repro.wire.topo import EngineTopology, build_engine_world
 
@@ -151,7 +151,7 @@ class LiveRun(ScheduleActions):
         #: (node, iface) -> (transport, port); the medium directory
         #: resolves engine next-hops onto these.
         self._endpoints: Dict[Tuple[str, str], Tuple[asyncio.DatagramTransport, int]] = {}
-        self._timer_gen: Dict[Tuple[str, str], int] = {}
+        self._timer_slots = TimerSlots()
         self._handles: List[asyncio.TimerHandle] = []
         self._closed = False
         self.datagrams_sent = 0
@@ -182,19 +182,10 @@ class LiveRun(ScheduleActions):
     # Engine output processing
     # ------------------------------------------------------------------
     def process(self, node: NodeEngine, output: EngineOutput) -> None:
-        now = self.now
-        obs = self.obs
-        for event in output.events:
-            self.events.append((now, event))
-            if self.feed is not None:
-                self.feed.consume(now, event)
-            if obs is not None:
-                obs.consume_event(now, event)
+        record_turn(self.events, self.now, output.events, self.feed, self.obs)
         for op in output.timers:
-            slot = (node.name, op.key)
-            generation = self._timer_gen.get(slot, 0) + 1
-            self._timer_gen[slot] = generation
-            if op.delay is not None:
+            generation = self._timer_slots.apply(node.name, op)
+            if generation is not None:
                 loop = asyncio.get_running_loop()
                 wall = self.clock.wall_delay(op.delay)
                 handle = loop.call_later(
@@ -283,7 +274,7 @@ class LiveRun(ScheduleActions):
     ) -> None:
         if self._closed or self.clock.now() > self.horizon:
             return
-        if self._timer_gen.get((node_name, key)) != generation:
+        if not self._timer_slots.claim(node_name, key, generation):
             return
         node = self.world.nodes[node_name]
         obs = self.obs

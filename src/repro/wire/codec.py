@@ -32,7 +32,7 @@ from repro.core.header import FIXED_HEADER_LEN, MHRPHeader
 from repro.core.registration import RegistrationMessage
 from repro.errors import PacketError
 from repro.ip.address import IPAddress
-from repro.ip.checksum import internet_checksum
+from repro.ip.checksum import checksum_from_sum
 from repro.ip.icmp import (
     EchoMessage,
     ICMPError,
@@ -47,7 +47,7 @@ from repro.ip.icmp import (
     TYPE_ROUTER_SOLICITATION,
     TYPE_TIME_EXCEEDED,
 )
-from repro.ip.packet import BASE_HEADER_LEN, IPPacket, RawPayload
+from repro.ip.packet import BASE_HEADER_LEN, HEADER_STRUCT, IPPacket, RawPayload
 from repro.ip.protocols import ICMP, MHRP, MOBILE_CONTROL
 
 _ICMP_HEADER_LEN = 8
@@ -62,11 +62,18 @@ class OpaqueICMP:
     so a truncated quote cannot be rebuilt into an ``IPPacket``) and for
     unknown ICMP types, which RFC 1122 says to silently discard — the
     node layer does the discarding; the codec preserves the bytes.
+
+    ``rest`` is header bytes 4-7, whose meaning depends on the type (the
+    RFC 1191 next-hop MTU of a frag-needed error, an unknown type's
+    id/seq); with it the message re-serializes verbatim.  (Bytes 2-3,
+    the ICMP checksum, are written as zero, like every ICMP message of
+    this codebase.)
     """
 
     icmp_type: int
     code: int
     body: bytes = b""
+    rest: bytes = bytes(4)
 
     @property
     def is_error(self) -> bool:
@@ -77,9 +84,14 @@ class OpaqueICMP:
         return _ICMP_HEADER_LEN + len(self.body)
 
     def to_bytes(self) -> bytes:
-        head = bytearray(_ICMP_HEADER_LEN)
-        head[0], head[1] = self.icmp_type, self.code
-        return bytes(head) + self.body
+        return bytes((self.icmp_type, self.code, 0, 0)) + self.rest + self.body
+
+
+def _opaque(data: bytes) -> OpaqueICMP:
+    return OpaqueICMP(
+        icmp_type=data[0], code=data[1],
+        body=bytes(data[_ICMP_HEADER_LEN:]), rest=bytes(data[4:8]),
+    )
 
 
 def _decode_icmp_error(data: bytes) -> object:
@@ -100,7 +112,7 @@ def _decode_icmp_error(data: bytes) -> object:
                     quoted=quoted,
                     quote_full=True,
                 )
-    return OpaqueICMP(icmp_type=data[0], code=data[1], body=quote)
+    return _opaque(data)
 
 
 def _decode_icmp(data: bytes) -> object:
@@ -121,7 +133,7 @@ def _decode_icmp(data: bytes) -> object:
         return RouterSolicitation(code=data[1])
     if icmp_type in (TYPE_DEST_UNREACHABLE, TYPE_TIME_EXCEEDED):
         return _decode_icmp_error(data)
-    return OpaqueICMP(icmp_type=icmp_type, code=data[1], body=bytes(data[_ICMP_HEADER_LEN:]))
+    return _opaque(data)
 
 
 def _decode_mhrp(data: bytes) -> MHRPPayload:
@@ -162,31 +174,36 @@ def decode_packet(data: bytes) -> IPPacket:
     """
     if len(data) < BASE_HEADER_LEN:
         raise PacketError(f"IP packet truncated ({len(data)} bytes)")
-    version, ihl_words = data[0] >> 4, data[0] & 0x0F
+    (version_ihl, tos, total_length, identification, fragment,
+     ttl, protocol, checksum, src, dst) = HEADER_STRUCT.unpack_from(data)
+    version, ihl_words = version_ihl >> 4, version_ihl & 0x0F
     if version != 4:
         raise PacketError(f"bad IP version {version}")
     if ihl_words != 5:
         # to_bytes emits options, but the live backend never does: the
         # LSRR experiments are simulator-only.  Reject rather than skip.
         raise PacketError(f"IP options not supported by codec (IHL={ihl_words})")
-    total_length = int.from_bytes(data[2:4], "big")
     if total_length != len(data):
         raise PacketError(
             f"IP total length {total_length} != datagram length {len(data)}"
         )
-    if data[6:8] != b"\x00\x00":
+    if fragment:
         raise PacketError("fragmented packets not supported")
-    if internet_checksum(data[:BASE_HEADER_LEN]) != 0:
+    # The header's word sum in closed form (see repro.ip.checksum): a
+    # correct stored checksum makes the whole header check to 0.
+    if checksum_from_sum(
+        (version_ihl << 8) + tos + total_length + identification + fragment
+        + (ttl << 8) + protocol + checksum + src + dst
+    ):
         raise PacketError("IP header checksum mismatch")
-    protocol = data[9]
     return IPPacket(
-        src=IPAddress.from_bytes(data[12:16]),
-        dst=IPAddress.from_bytes(data[16:20]),
+        src=IPAddress(src),
+        dst=IPAddress(dst),
         protocol=protocol,
         payload=_decode_payload(protocol, data[BASE_HEADER_LEN:]),
-        ttl=data[8],
-        tos=data[1],
-        identification=int.from_bytes(data[4:6], "big"),
+        ttl=ttl,
+        tos=tos,
+        identification=identification,
     )
 
 

@@ -27,7 +27,7 @@ from repro.errors import ConfigurationError
 from repro.ip.address import IPAddress
 from repro.netsim.trace import TraceEntry
 from repro.telemetry.health import TRACE_CATEGORIES
-from repro.wire.engine import Datagram, EngineEvent, EngineOutput, NodeEngine
+from repro.wire.engine import Datagram, EngineEvent, EngineOutput, NodeEngine, TimerOp
 from repro.wire.topo import EngineTopology
 
 #: Media latencies mirroring the simulator topology builders' defaults.
@@ -92,6 +92,67 @@ class HealthFeed:
                 time=time, category=category, node=event.node,
                 detail=dict(event.detail),
             ))
+
+
+def record_turn(
+    log: List[Tuple[float, EngineEvent]], now: float,
+    events: List[EngineEvent], feed: Optional[HealthFeed], obs,
+) -> None:
+    """Log one engine turn's events and feed them to the instruments.
+
+    ``EngineEvent.packet`` is turn-scoped: the health feed and the obs
+    plane read it here, while the turn is processed, and the entry kept
+    in ``log`` drops it.  Only ``category``/``node``/``detail`` outlive
+    the turn, so the retained log pins no decoded packet.
+    """
+    for event in events:
+        if feed is not None:
+            feed.consume(now, event)
+        if obs is not None:
+            obs.consume_event(now, event)
+        event.packet = None
+        log.append((now, event))
+
+
+class TimerSlots:
+    """Which queued fire of each ``(node, key)`` timer is the live one.
+
+    Arming a slot draws a generation from one counter that never
+    reuses a value; cancelling or firing drops the slot, so the table
+    holds only armed timers.  A queued fire whose generation is not its
+    slot's current one was re-armed or cancelled since, and is stale —
+    per-slot counts would not do: a slot dropped and re-armed would
+    restart its count and a stale fire could match the new arm.
+    """
+
+    __slots__ = ("_live", "_next")
+
+    def __init__(self) -> None:
+        self._live: Dict[Tuple[str, str], int] = {}
+        self._next = itertools.count(1).__next__
+
+    def __len__(self) -> int:
+        return len(self._live)
+
+    def apply(self, node_name: str, op: TimerOp) -> Optional[int]:
+        """Record an arm (returns the generation to queue with the fire)
+        or a cancel (returns None)."""
+        slot = (node_name, op.key)
+        if op.delay is None:
+            self._live.pop(slot, None)
+            return None
+        generation = self._next()
+        self._live[slot] = generation
+        return generation
+
+    def claim(self, node_name: str, key: str, generation: int) -> bool:
+        """True when the queued fire is the slot's live arm; the slot is
+        then dropped (the callback may re-arm it)."""
+        slot = (node_name, key)
+        if self._live.get(slot) != generation:
+            return False
+        del self._live[slot]
+        return True
 
 
 class ScheduleActions:
@@ -177,10 +238,10 @@ class EngineDriver(ScheduleActions):
     simulator's event queue uses, so two runs of the same schedule are
     byte-identical.
 
-    Timer cancellation is generation-based: arming or cancelling a
-    ``(node, key)`` timer bumps its generation, and a heap entry whose
-    generation is stale is discarded on pop (the engine additionally
-    pops its own callback on fire, so stale fires are doubly inert).
+    Timer cancellation is generation-based (:class:`TimerSlots`): a
+    heap entry whose generation is no longer its slot's is discarded on
+    pop (the engine additionally pops its own callback on fire, so
+    stale fires are doubly inert).
     """
 
     def __init__(
@@ -199,9 +260,10 @@ class EngineDriver(ScheduleActions):
         self._wireless = set(topo.cells)
         self._heap: List[Tuple[float, int, tuple]] = []
         self._seq = itertools.count()
-        self._timer_gen: Dict[Tuple[str, str], int] = {}
+        self._timer_slots = TimerSlots()
         #: Every engine event, time-stamped, in execution order — the
-        #: conformance harness projects its comparisons out of this.
+        #: conformance harness projects its comparisons out of this
+        #: (packet references are turn-scoped, see :func:`record_turn`).
         self.events: List[Tuple[float, EngineEvent]] = []
         self.feed = HealthFeed(health) if health is not None else None
         #: The observability plane (:class:`repro.obs.ObsPlane`) when
@@ -269,18 +331,10 @@ class EngineDriver(ScheduleActions):
     # Engine output processing
     # ------------------------------------------------------------------
     def process(self, node: NodeEngine, output: EngineOutput) -> None:
-        obs = self.obs
-        for event in output.events:
-            self.events.append((self.now, event))
-            if self.feed is not None:
-                self.feed.consume(self.now, event)
-            if obs is not None:
-                obs.consume_event(self.now, event)
+        record_turn(self.events, self.now, output.events, self.feed, self.obs)
         for op in output.timers:
-            slot = (node.name, op.key)
-            generation = self._timer_gen.get(slot, 0) + 1
-            self._timer_gen[slot] = generation
-            if op.delay is not None:
+            generation = self._timer_slots.apply(node.name, op)
+            if generation is not None:
                 self._push(
                     self.now + op.delay,
                     ("timer", node.name, op.key, generation),
@@ -335,7 +389,7 @@ class EngineDriver(ScheduleActions):
             self.process(node, node.datagram_received(self.now, data, iface_name))
         elif kind == "timer":
             _, node_name, key, generation = action
-            if self._timer_gen.get((node_name, key)) != generation:
+            if not self._timer_slots.claim(node_name, key, generation):
                 return  # re-armed or cancelled since this was queued
             node = self.world.nodes[node_name]
             self.process(node, node.timer_fired(self.now, key))

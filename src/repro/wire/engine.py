@@ -116,6 +116,9 @@ class EngineEvent:
     ``packet.*`` for packet lifecycle (these carry the decoded packet so a
     driver can feed :class:`~repro.telemetry.health.ProtocolHealth`), and
     ``health.*`` for direct telemetry feeds with no tracer equivalent.
+
+    ``packet`` is turn-scoped: drivers clear it once the turn's
+    instruments have read it (:func:`repro.wire.driver.record_turn`).
     """
 
     category: str
@@ -1016,6 +1019,10 @@ class EngineWorld:
         self.nodes: Dict[str, NodeEngine] = {}
         #: medium name -> list of (node name, iface name) attachments.
         self.media: Dict[str, List[Tuple[str, str]]] = {}
+        #: (node name, iface name) -> the first medium, in ``media``
+        #: order, that lists it: the answer of :meth:`medium_of`, kept
+        #: current by ``attach``/``detach``/``load_state``.
+        self._medium_by_iface: Dict[Tuple[str, str], str] = {}
         self._ident = _wrapping_counter()
         self._seq = itertools.count(1)
 
@@ -1044,18 +1051,31 @@ class EngineWorld:
         entry = (node_name, iface_name)
         if entry not in members:
             members.append(entry)
+        current = self._medium_by_iface.get(entry)
+        if current is None:
+            self._medium_by_iface[entry] = medium
+        elif current != medium:
+            # On two media at once: the earlier medium answers.
+            self._medium_by_iface[entry] = next(
+                m for m in self.media if m in (current, medium)
+            )
 
     def detach(self, node_name: str, iface_name: str) -> None:
         """Remove the interface from whatever medium it is on."""
-        for members in self.media.values():
-            if (node_name, iface_name) in members:
-                members.remove((node_name, iface_name))
+        entry = (node_name, iface_name)
+        still_on = None  # only a loaded state can list an entry twice
+        for medium, members in self.media.items():
+            if entry in members:
+                members.remove(entry)
+                if still_on is None and entry in members:
+                    still_on = medium
+        if still_on is None:
+            self._medium_by_iface.pop(entry, None)
+        else:
+            self._medium_by_iface[entry] = still_on
 
     def medium_of(self, node_name: str, iface_name: str) -> Optional[str]:
-        for medium, members in self.media.items():
-            if (node_name, iface_name) in members:
-                return medium
-        return None
+        return self._medium_by_iface.get((node_name, iface_name))
 
     def resolve(
         self, medium: str, address: IPAddress
@@ -1082,5 +1102,9 @@ class EngineWorld:
         self.media = {
             m: [tuple(e) for e in v] for m, v in state["media"].items()
         }
+        self._medium_by_iface = {}
+        for medium, members in self.media.items():
+            for entry in members:
+                self._medium_by_iface.setdefault(entry, medium)
         for name, node_state in state["nodes"].items():
             self.nodes[name].load_state(node_state)

@@ -1,6 +1,20 @@
 """Unit tests for the internet checksum."""
 
-from repro.ip.checksum import internet_checksum, verify_checksum
+from hypothesis import given, strategies as st
+
+from repro.ip.checksum import checksum_from_sum, internet_checksum, verify_checksum
+
+
+def reference_checksum(data: bytes) -> int:
+    """RFC 1071 as written: sum 16-bit words, fold carries, complement."""
+    if len(data) % 2:
+        data = data + b"\x00"
+    total = 0
+    for i in range(0, len(data), 2):
+        total += (data[i] << 8) | data[i + 1]
+    while total >> 16:
+        total = (total & 0xFFFF) + (total >> 16)
+    return (~total) & 0xFFFF
 
 
 class TestInternetChecksum:
@@ -39,3 +53,35 @@ class TestInternetChecksum:
         block = bytearray(pre[:10] + csum.to_bytes(2, "big") + pre[12:])
         block[0] ^= 0x01
         assert not verify_checksum(bytes(block))
+
+
+class TestClosedForm:
+    """The modulo-0xFFFF closed form equals the word loop on any input."""
+
+    @given(st.binary(max_size=200))
+    def test_random_input(self, data):
+        assert internet_checksum(data) == reference_checksum(data)
+
+    @given(st.binary(max_size=99).filter(lambda d: len(d) % 2 == 1))
+    def test_odd_length_input(self, data):
+        assert internet_checksum(data) == reference_checksum(data)
+
+    @given(st.integers(min_value=0, max_value=300))
+    def test_all_zero_and_all_ones(self, length):
+        for fill in (0x00, 0xFF):
+            data = bytes([fill]) * length
+            assert internet_checksum(data) == reference_checksum(data)
+
+    def test_empty(self):
+        assert internet_checksum(b"") == reference_checksum(b"") == 0xFFFF
+
+    def test_non_zero_multiple_of_0xffff_folds_to_0xffff(self):
+        # 0x8000 + 0x7FFF = 0xFFFF: the sum is a non-zero multiple of
+        # 0xFFFF, so the checksum is 0, not the all-zero 0xFFFF.
+        data = bytes.fromhex("80007fff")
+        assert internet_checksum(data) == reference_checksum(data) == 0
+
+    @given(st.lists(st.integers(min_value=0, max_value=0xFFFF), max_size=40))
+    def test_from_word_sum(self, words):
+        data = b"".join(w.to_bytes(2, "big") for w in words)
+        assert checksum_from_sum(sum(words)) == reference_checksum(data)
