@@ -135,7 +135,7 @@ def _measure_partitioned():
     Returns deterministic facts (event count, byte-identity of the two
     executions) and perf columns.  ``partition_speedup`` is the honest
     serial-wall / parallel-wall ratio *on this machine*: on a
-    single-core host four worker processes time-slice one CPU and the
+    single-core host the partitions share one worker process and the
     ratio sits below 1.0 by construction, so the CI gate only applies
     it where it is measurable (``cpu_count >= 2``)."""
     import os
@@ -378,8 +378,8 @@ def _check(entry: dict) -> int:
 
     # Partitioned-engine columns (schema 3).  Byte-identity must hold
     # everywhere; the speedup gate only applies where parallelism is
-    # physically measurable (>= 2 CPUs — on one core, four workers
-    # time-slice it and the ratio is below 1.0 by construction).
+    # physically measurable (>= 2 CPUs — on one core, one worker runs
+    # every partition and the ratio is below 1.0 by construction).
     if "partition_identity" in entry["deterministic"]:
         if not entry["deterministic"]["partition_identity"]:
             print("FAIL: partitioned run diverged from the serial "

@@ -2,14 +2,16 @@
 """The E4 scalability curve: partitioned throughput and signaling load.
 
 Two sweeps over the hierarchical registration-load model (the
-~10^5-host statistical population riding the PR 9 bulk scheduler):
+~10^5-host statistical population, walked by one plan cursor per
+campus):
 
 - **events/s vs partition count** — the same per-campus load executed
-  at 1, 2, 4 and 8 partitions, serial reference vs one-process-per-
-  partition parallel.  This is the scalability claim of the paper's E4
-  argument made measurable: on a multi-core host the parallel curve
-  rises with partition count; on a single-core host it honestly falls
-  (time-slicing + synchronization overhead) and the output says so.
+  at 1, 2, 4 and 8 partitions, serial reference vs ``workers=N``
+  (partitions grouped onto at most one runner per CPU).  This is the
+  scalability claim of the paper's E4 argument made measurable: on a
+  multi-core host the parallel curve rises with partition count; on a
+  single-core host it honestly falls (one worker process pays the
+  synchronization overhead for nothing) and the output says so.
 
 - **signaling load vs hierarchy depth** — total signaling units (one
   campus registration per move plus one binding update per tree level
@@ -116,7 +118,7 @@ def sweep_depth(hosts_per_campus: int, partitions: int, depths) -> list:
 def render(report: dict) -> str:
     lines = [
         f"E4 scalability curve ({report['cpu_count']} cpu(s); on a "
-        "single-core host the parallel leg time-slices and the speedup "
+        "single-core host the parallel leg is one worker and the speedup "
         "column honestly reads < 1.0)",
         "",
         "  events/s vs partition count "

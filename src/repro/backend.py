@@ -10,7 +10,8 @@ There are four ways to execute a :class:`~repro.scenario.spec.ScenarioSpec`:
 ``live``        the same engines over real loopback UDP sockets against
                 the wall clock (:mod:`repro.live`)
 ``partitioned`` the conservative-synchronization parallel engine, one
-                partition per campus (:mod:`repro.partition`)
+                partition per campus, partitions grouped onto at most
+                one runner per CPU (:mod:`repro.partition`)
 ==============  ========================================================
 
 :func:`run` executes any of them behind one signature and returns a
@@ -246,8 +247,9 @@ def run(
         until: stop the clock early (``sim``/``engine`` only — the
             live and partitioned backends run to the horizon).
         **opts: backend-specific — ``speed`` (live), ``workers``
-            (partitioned; ``0`` = serial reference, default one
-            process per partition).
+            (partitioned; ``0`` = serial reference, ``N`` = at most
+            ``min(N, partitions, usable CPUs)`` runners, this process
+            plus worker processes; default ``spec.partitions``).
     """
     if backend not in BACKENDS:
         raise ValueError(
@@ -316,6 +318,12 @@ def _render_result(result: RunResult) -> str:
             f"{result.counters.get('exports_delivered')} cross-partition "
             f"events)"
         )
+        detail = result.detail
+        compute = ", ".join(f"{s:.3f}" for s in detail.compute_seconds)
+        lines.append(
+            f"  sync: {detail.runners} runner(s), compute [{compute}] s "
+            f"per partition, barrier wait {detail.barrier_wait_seconds:.3f} s"
+        )
     return "\n".join(lines)
 
 
@@ -354,8 +362,9 @@ def run_main(argv=None) -> int:
     )
     parser.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="partitioned backend: worker processes (0 = serial reference; "
-             "default one per partition)",
+        help="partitioned backend: 0 = serial reference; N = at most "
+             "min(N, partitions, usable CPUs) runners, this process plus "
+             "worker processes (default: the spec's partition count)",
     )
     args = parser.parse_args(argv)
 
@@ -377,23 +386,23 @@ def run_main(argv=None) -> int:
         print(str(exc), file=sys.stderr)
         return 2
     if args.as_json:
-        print(
-            json.dumps(
-                {
-                    "backend": result.backend,
-                    "spec": result.spec_name,
-                    "status": result.status,
-                    "events": result.events,
-                    "sim_time": result.sim_time,
-                    "wall_seconds": result.wall_seconds,
-                    "counters": result.counters,
-                    "health": result.health,
-                },
-                indent=2,
-                sort_keys=True,
-                default=str,
-            )
-        )
+        payload = {
+            "backend": result.backend,
+            "spec": result.spec_name,
+            "status": result.status,
+            "events": result.events,
+            "sim_time": result.sim_time,
+            "wall_seconds": result.wall_seconds,
+            "counters": result.counters,
+            "health": result.health,
+        }
+        if result.backend == "partitioned":
+            payload["sync"] = {
+                "runners": result.detail.runners,
+                "compute_seconds": result.detail.compute_seconds,
+                "barrier_wait_seconds": result.detail.barrier_wait_seconds,
+            }
+        print(json.dumps(payload, indent=2, sort_keys=True, default=str))
     elif not args.quiet:
         print(_render_result(result))
     return 0

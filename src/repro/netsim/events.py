@@ -10,9 +10,9 @@ bare :class:`Event` objects: tuple comparison runs entirely in C and the
 ``(time, sequence)`` prefix is unique, so heap sifting never calls back
 into Python.  ``payload`` is the :class:`Event` for normally scheduled
 work, or a bare callable for *bulk* entries (:meth:`EventQueue.push_bulk`
-/ :meth:`EventQueue.push_many`) — pre-planned workload traffic that is
-never cancelled or relabelled and therefore does not pay for an Event
-object at all.  :meth:`EventQueue.pop` wraps bulk payloads lazily so the
+/ :meth:`EventQueue.push_many` / :meth:`EventQueue.push_bulk_at`) —
+pre-planned workload traffic that is never cancelled or relabelled and
+therefore does not pay for an Event object at all.  :meth:`EventQueue.pop` wraps bulk payloads lazily so the
 public contract (``pop`` returns an :class:`Event`) is unchanged.
 """
 
@@ -186,6 +186,19 @@ class EventQueue:
         self._seq = seq + n
         self._insert_entries(entries)
         return n
+
+    def push_bulk_at(self, time: float, action: Callable[[], Any]) -> None:
+        """Schedule one bulk entry: :meth:`push_bulk` for a single action.
+
+        The cheap way for a self-advancing workload cursor to re-arm
+        itself — one heap push, no :class:`Event`, no label.
+        """
+        if time < 0:
+            raise SimulationError(f"cannot schedule event at negative time {time!r}")
+        seq = self._seq
+        self._seq = seq + 1
+        heapq.heappush(self._heap, (float(time), seq, action))
+        self._live += 1
 
     def push_many(self, pairs: Iterable[Tuple[float, Callable[[], Any]]]) -> int:
         """Schedule many ``(time, action)`` pairs as bulk entries.

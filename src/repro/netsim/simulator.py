@@ -182,6 +182,15 @@ class Simulator:
             raise SimulationError(f"cannot schedule event in the past (delay={delay!r})")
         return self.queue.push_bulk(self.clock.now + delay, actions)
 
+    def schedule_bulk_at(self, when: float, action: Callable[[], Any]) -> None:
+        """Schedule one bulk entry at absolute time ``when`` (must be >=
+        now): no ``Event`` object, no label, no cancellation."""
+        if when < self.clock.now:
+            raise SimulationError(
+                f"cannot schedule event in the past (now={self.clock.now}, when={when})"
+            )
+        self.queue.push_bulk_at(when, action)
+
     def schedule_many(self, pairs: Iterable[Tuple[float, Callable[[], Any]]]) -> int:
         """Schedule many ``(when, action)`` pairs (absolute times) as bulk
         entries; every ``when`` must be >= now."""

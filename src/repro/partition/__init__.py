@@ -1,8 +1,9 @@
 """Partitioned parallel simulation (conservative synchronization).
 
 The E4 scalability layer: a hierarchical world is sharded one campus
-per partition, each partition runs in its own simulator (optionally its
-own OS process), and the engine advances them under a lookahead-derived
+per partition, each partition runs in its own simulator (partitions are
+grouped onto at most one runner per CPU: this process plus worker
+processes), and the engine advances them under a lookahead-derived
 window or global-barrier protocol such that a parallel run is
 byte-identical to the serial reference.  See
 :mod:`repro.partition.engine` for the synchronization protocols,

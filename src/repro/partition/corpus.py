@@ -3,8 +3,8 @@
 Two four-campus scenarios exercised by the conformance tests, the
 ``partition-smoke`` CI job and the benchmarks.  Like the wire
 conformance corpus, these are *pinned*: serial (``workers=0``) and
-parallel (one process per partition) executions of each must produce
-identical fingerprints, so any edit here invalidates recorded
+parallel (partitions grouped onto runners) executions of each must
+produce identical fingerprints, so any edit here invalidates recorded
 baselines deliberately.
 
 Both use four campuses under a depth-2 binary hierarchy
@@ -125,9 +125,9 @@ def partition_load_spec(
     seed: int = 7,
 ) -> ScenarioSpec:
     """The E4 scale scenario: each campus models ``hosts_per_campus``
-    statistical hosts through the :class:`RegistrationLoadModel` (bulk
-    registration/update events, cross-campus updates exported over the
-    partition boundary) while a handful of real mobile hosts ride along
+    statistical hosts through the :class:`RegistrationLoadModel`
+    (registration/update events walked by one plan cursor per campus,
+    cross-campus updates exported over the partition boundary) while a handful of real mobile hosts ride along
     for protocol fidelity.  Total modeled population is
     ``partitions * hosts_per_campus`` — the 10^5–10^6-host regime the
     paper's scalability argument extrapolates to."""

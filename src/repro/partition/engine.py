@@ -23,12 +23,19 @@ seeded from ``(spec.seed, index)``; exports are delivered sorted by
 ``(arrival, source partition, export sequence)`` which is a total order
 reproduced identically by any execution schedule; payloads cross the
 boundary pickled in *both* serial and parallel mode; and the process-
-global ID counters are scoped per partition — worker processes isolate
-them naturally, the serial orchestrator swaps them around every window.
-A serial run (``workers=0``) is therefore byte-identical — per-partition
-trace fingerprints, health summaries, mobile-host state — to a parallel
-run (one OS process per partition), which is what the partition-smoke
-CI job asserts.
+global ID counters are scoped per partition — every partition runs
+through :class:`_SerialPartition`, which swaps them around each slice.
+
+Runners: ``workers=N`` spreads the partitions over ``min(N, partitions,
+usable CPUs)`` runners, each a contiguous group of partitions run one
+after another.  The orchestrator runs one group itself, between sending
+a window to the workers and collecting their replies, and each other
+group runs in one worker process.  Whatever the grouping, a serial run
+(``workers=0``) is byte-identical — per-partition trace fingerprints,
+health summaries, mobile-host state — to a parallel one, which is what
+the partition-smoke CI job asserts.  :class:`PartitionedResult` reports
+per-partition compute seconds and the orchestrator's barrier wait, the
+sync cost a speed-up has to beat.
 
 Long runs poll the cooperative deadline
 (:mod:`repro.harness.deadline`) at every window boundary — the
@@ -38,6 +45,7 @@ sweep runner's worker pools.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -60,79 +68,116 @@ _Export = Tuple[int, float, str, bytes, int]
 
 
 # ----------------------------------------------------------------------
-# Partition drivers: same surface, serial or one-process-per-partition
+# Runners: groups of partitions, in this process or in one worker each
 # ----------------------------------------------------------------------
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the
+    platform has one, else the machine's CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - macOS / Windows
+        return os.cpu_count() or 1
+
+
+def runner_groups(n: int, workers: int) -> List[List[int]]:
+    """Split partitions ``0..n-1`` into contiguous groups, one per
+    runner: ``min(workers, n, usable CPUs)`` of them (at least one)."""
+    r = max(1, min(workers, n, usable_cpus()))
+    return [list(range(g * n // r, (g + 1) * n // r)) for g in range(r)]
+
+
 class _SerialPartition:
-    """In-process partition with global-counter scoping.
+    """One partition driven in-process, with global-counter scoping.
 
     The shared ID counters (packet uids, hardware addresses,
     registration sequence numbers) are captured after every slice of
-    this partition's execution and restored before the next, so running
-    all partitions interleaved in one process hands out exactly the
-    id sequences isolated worker processes would."""
+    this partition's execution and restored before the next, so any
+    number of partitions interleaved in one process hand out exactly the
+    id sequences an isolated process per partition would."""
 
     def __init__(self, spec: ScenarioSpec, model: HierarchyModel, index: int) -> None:
         from repro.partition.runtime import PartitionRuntime
 
         self.runtime = PartitionRuntime(spec, model, index)
-        self._next = self.runtime.next_time()
+        self.next_time = self.runtime.next_time()
         self._counters = capture_global_counters()
-        self._reply: Optional[tuple] = None
+        #: Seconds spent executing this partition's slices.
+        self.compute_s = 0.0
 
-    def initial_next_time(self) -> Optional[float]:
-        return self._next
-
-    def run_async(self, barrier: float, inclusive: bool, deliveries) -> None:
+    def run(self, barrier: float, inclusive: bool, deliveries) -> tuple:
+        started = time.perf_counter()
         restore_global_counters(self._counters)
         self.runtime.inject(deliveries)
         executed = self.runtime.run_window(barrier, inclusive)
         self._counters = capture_global_counters()
-        self._reply = (executed, self.runtime.next_time(), self.runtime.drain_outbox())
+        self.compute_s += time.perf_counter() - started
+        return executed, self.runtime.next_time(), self.runtime.drain_outbox()
 
-    def collect(self) -> tuple:
-        reply, self._reply = self._reply, None
-        return reply
-
-    def finish_async(self, horizon: float, deliveries) -> None:
+    def finish(self, horizon: float, deliveries) -> tuple:
+        started = time.perf_counter()
         restore_global_counters(self._counters)
         self.runtime.inject(deliveries)
         self.runtime.finish(horizon)
         self._counters = capture_global_counters()
-        self._reply = (self.runtime.result(), self.runtime.drain_outbox())
+        self.compute_s += time.perf_counter() - started
+        return self.runtime.result(), self.runtime.drain_outbox(), self.compute_s
 
-    def collect_result(self) -> tuple:
+
+class _LocalGroup:
+    """A group of partitions run by this process, one after another.
+
+    The orchestrator hosts one of these (``workers=0``: all partitions)
+    and every worker process serves exactly one; ``run_async`` executes
+    at once, so the orchestrator's own group overlaps the workers'."""
+
+    def __init__(self, spec: ScenarioSpec, model: HierarchyModel,
+                 indices: List[int]) -> None:
+        self.indices = indices
+        self.partitions = [_SerialPartition(spec, model, i) for i in indices]
+        self._reply: Optional[list] = None
+
+    def initial_next_times(self) -> List[Optional[float]]:
+        return [p.next_time for p in self.partitions]
+
+    def run_async(self, barrier: float, inclusive: bool, deliveries) -> None:
+        self._reply = [
+            p.run(barrier, inclusive, d) for p, d in zip(self.partitions, deliveries)
+        ]
+
+    def finish_async(self, horizon: float, deliveries) -> None:
+        self._reply = [
+            p.finish(horizon, d) for p, d in zip(self.partitions, deliveries)
+        ]
+
+    def collect(self) -> list:
         reply, self._reply = self._reply, None
         return reply
+
+    collect_result = collect
 
     def stop(self) -> None:
         pass
 
 
-def _worker_main(conn, spec_dict: dict, index: int) -> None:
-    """Worker-process loop: build one partition, serve window commands."""
+def _worker_main(conn, spec_dict: dict, indices: List[int]) -> None:
+    """Worker-process loop: build one group of partitions, serve window
+    commands for all of them."""
     import traceback
-
-    from repro.partition.runtime import PartitionRuntime
 
     try:
         spec = ScenarioSpec.from_dict(spec_dict)
-        model = HierarchyModel.from_spec(spec)
-        runtime = PartitionRuntime(spec, model, index)
-        conn.send(("ready", runtime.next_time()))
+        group = _LocalGroup(spec, HierarchyModel.from_spec(spec), indices)
+        conn.send(("ready", group.initial_next_times()))
         while True:
             msg = conn.recv()
             if msg[0] == "window":
                 _, barrier, inclusive, deliveries = msg
-                runtime.inject(deliveries)
-                executed = runtime.run_window(barrier, inclusive)
-                conn.send(
-                    ("ok", executed, runtime.next_time(), runtime.drain_outbox())
-                )
+                group.run_async(barrier, inclusive, deliveries)
+                conn.send(("ok", group.collect()))
             elif msg[0] == "finish":
                 _, horizon, deliveries = msg
-                runtime.inject(deliveries)
-                runtime.finish(horizon)
-                conn.send(("result", runtime.result(), runtime.drain_outbox()))
+                group.finish_async(horizon, deliveries)
+                conn.send(("result", group.collect_result()))
             elif msg[0] == "stop":
                 return
     except BaseException:
@@ -145,52 +190,59 @@ def _worker_main(conn, spec_dict: dict, index: int) -> None:
 
 
 class _ParallelPartition:
-    """One partition in its own OS process, driven over a pipe."""
+    """One worker process running a group of partitions, driven over a
+    pipe; the same surface as :class:`_LocalGroup`."""
 
-    def __init__(self, spec: ScenarioSpec, index: int) -> None:
+    def __init__(self, spec: ScenarioSpec, indices: List[int]) -> None:
         import multiprocessing as mp
 
         ctx = mp.get_context("fork")
-        self.index = index
+        self.indices = indices
         self._conn, child = ctx.Pipe()
         self._proc = ctx.Process(
             target=_worker_main,
-            args=(child, spec.to_dict(), index),
-            name=f"partition-{index}",
+            args=(child, spec.to_dict(), indices),
+            name=f"partitions-{indices[0]}-{indices[-1]}",
         )
         self._proc.start()
         child.close()
-        self._next: Optional[float] = None
+        self._next: List[Optional[float]] = []
 
     def _recv(self, expect: str) -> tuple:
-        msg = self._conn.recv()
+        try:
+            msg = self._conn.recv()
+        except EOFError:
+            raise SimulationError(
+                f"partition worker {self.indices} exited without replying"
+            ) from None
         if msg[0] == "error":
             raise SimulationError(
-                f"partition {self.index} worker failed:\n{msg[1]}"
+                f"partition worker {self.indices} failed:\n{msg[1]}"
             )
         if msg[0] != expect:
             raise SimulationError(
-                f"partition {self.index}: expected {expect!r}, got {msg[0]!r}"
+                f"partition worker {self.indices}: expected {expect!r}, "
+                f"got {msg[0]!r}"
             )
         return msg
 
     def wait_ready(self) -> None:
         self._next = self._recv("ready")[1]
 
-    def initial_next_time(self) -> Optional[float]:
+    def initial_next_times(self) -> List[Optional[float]]:
         return self._next
 
     def run_async(self, barrier: float, inclusive: bool, deliveries) -> None:
         self._conn.send(("window", barrier, inclusive, deliveries))
 
-    def collect(self) -> tuple:
-        return self._recv("ok")[1:]
+    def collect(self) -> list:
+        return self._recv("ok")[1]
 
     def finish_async(self, horizon: float, deliveries) -> None:
         self._conn.send(("finish", horizon, deliveries))
 
-    def collect_result(self) -> tuple:
-        return self._recv("result")[1:]
+    def collect_result(self) -> list:
+        return self._recv("result")[1]
 
     def stop(self) -> None:
         try:
@@ -222,6 +274,14 @@ class PartitionedResult:
     exports_delivered: int
     exports_dropped: int
     results: List[dict] = field(default_factory=list)
+    #: Runners the partitions were spread over (``1`` for ``workers=0``).
+    runners: int = 1
+    #: Seconds each partition spent executing its slices, by index.
+    #: Wall-clock measurements: kept out of :meth:`fingerprint` and of
+    #: ``RunResult.counters`` so runs compare across worker counts.
+    compute_seconds: List[float] = field(default_factory=list)
+    #: Seconds the orchestrator spent blocked on workers at barriers.
+    barrier_wait_seconds: float = 0.0
 
     def health_merged(self) -> Optional[dict]:
         from repro.telemetry.health import merge_health_summaries
@@ -288,10 +348,15 @@ def run_partitioned(spec: ScenarioSpec, workers: int = 0) -> PartitionedResult:
     """Run a partitioned scenario to its horizon.
 
     ``workers=0`` runs every partition in this process (the serial
-    reference); any other value spawns one worker process per partition.
-    Both produce byte-identical per-partition traces, health summaries
-    and mobile-host state.
+    reference).  ``workers=N`` spreads the partitions over
+    ``r = min(N, partitions, usable CPUs)`` runners: this process runs
+    one group of partitions and ``r - 1`` worker processes run one group
+    each (with ``r == 1``, a single worker process runs them all).  Every
+    worker count produces byte-identical per-partition traces, health
+    summaries and mobile-host state.
     """
+    if workers < 0:
+        raise ValueError(f"workers must be >= 0, got {workers}")
     model = HierarchyModel.from_spec(spec)
     n = model.n_campuses
     lookahead = model.lookahead()
@@ -299,33 +364,60 @@ def run_partitioned(spec: ScenarioSpec, workers: int = 0) -> PartitionedResult:
     horizon = spec.horizon
     started = time.perf_counter()
 
-    if workers:
-        backends: List = [_ParallelPartition(spec, i) for i in range(n)]
-        for backend in backends:
-            backend.wait_ready()
-    else:
-        backends = [_SerialPartition(spec, model, i) for i in range(n)]
-
+    groups = runner_groups(n, workers)
+    runners: List = []
     pending: Dict[int, List[Tuple[float, str, bytes]]] = {i: [] for i in range(n)}
-    nexts: List[Optional[float]] = [b.initial_next_time() for b in backends]
+    nexts: List[Optional[float]] = [None] * n
     windows = delivered_total = dropped_total = 0
+    barrier_wait = 0.0
+
+    def take(runner) -> List[list]:
+        out = [pending[i] for i in runner.indices]
+        for i in runner.indices:
+            pending[i] = []
+        return out
+
+    def step(barrier: float, inclusive: bool) -> None:
+        # Workers first, this process's own group last: its slices run
+        # while the workers run theirs.
+        nonlocal delivered_total, dropped_total, windows, barrier_wait
+        for runner in runners:
+            runner.run_async(barrier, inclusive, take(runner))
+        outboxes: Dict[int, List[_Export]] = {}
+        waited = time.perf_counter()
+        for runner in runners:
+            for i, (_, next_time, outbox) in zip(runner.indices, runner.collect()):
+                nexts[i] = next_time
+                outboxes[i] = outbox
+        barrier_wait += time.perf_counter() - waited
+        delivered, dropped = _route(outboxes, horizon, pending)
+        delivered_total += delivered
+        dropped_total += dropped
+        windows += 1
 
     try:
+        # This process keeps the first group unless ``workers >= 1``
+        # left only one, which then goes to a worker.  Fork the workers,
+        # build the local group while they build theirs, then wait:
+        # every partition build is set-up.
+        local = groups.pop(0) if not workers or len(groups) > 1 else None
+        for group in groups:
+            runners.append(_ParallelPartition(spec, group))
+        remote = list(runners)
+        if local is not None:
+            runners.append(_LocalGroup(spec, model, local))
+        for runner in remote:
+            runner.wait_ready()
+        for runner in runners:
+            for i, next_time in zip(runner.indices, runner.initial_next_times()):
+                nexts[i] = next_time
+
         if mode == "window":
             t = 0.0
             while t < horizon:
                 _check_deadline()
                 barrier = min(t + lookahead, horizon)
-                for i, backend in enumerate(backends):
-                    backend.run_async(barrier, False, pending[i])
-                    pending[i] = []
-                outboxes: Dict[int, List[_Export]] = {}
-                for i, backend in enumerate(backends):
-                    _, nexts[i], outboxes[i] = backend.collect()
-                delivered, dropped = _route(outboxes, horizon, pending)
-                delivered_total += delivered
-                dropped_total += dropped
-                windows += 1
+                step(barrier, False)
                 t = barrier
         else:
             while True:
@@ -343,46 +435,41 @@ def run_partitioned(spec: ScenarioSpec, workers: int = 0) -> PartitionedResult:
                 )
                 if not candidates:
                     break
-                t_next = min(candidates)
-                for i, backend in enumerate(backends):
-                    backend.run_async(t_next, True, pending[i])
-                    pending[i] = []
-                outboxes = {}
-                for i, backend in enumerate(backends):
-                    _, nexts[i], outboxes[i] = backend.collect()
-                delivered, dropped = _route(outboxes, horizon, pending)
-                delivered_total += delivered
-                dropped_total += dropped
-                windows += 1
+                step(min(candidates), True)
 
         # Final phase: advance every clock to the horizon (events at
         # exactly the horizon run here, matching ``Session.run``).
-        for i, backend in enumerate(backends):
-            backend.finish_async(horizon, pending[i])
-            pending[i] = []
+        for runner in runners:
+            runner.finish_async(horizon, take(runner))
         results: List[dict] = []
-        for backend in backends:
-            result, outbox = backend.collect_result()
-            results.append(result)
-            # Horizon-time events can only export beyond the horizon
-            # (positive delay) — anything else is a protocol violation.
-            for dst, arrival, kind, _, _ in outbox:
-                if arrival <= horizon:
-                    raise SimulationError(
-                        f"partition {result['partition']} exported a "
-                        f"{kind} event at t={arrival} after the final "
-                        f"exchange (horizon {horizon})"
-                    )
-                dropped_total += 1
+        compute = [0.0] * n
+        waited = time.perf_counter()
+        for runner in runners:
+            for i, (result, outbox, seconds) in zip(
+                runner.indices, runner.collect_result()
+            ):
+                results.append(result)
+                compute[i] = seconds
+                # Horizon-time events can only export beyond the horizon
+                # (positive delay) — anything else is a protocol violation.
+                for dst, arrival, kind, _, _ in outbox:
+                    if arrival <= horizon:
+                        raise SimulationError(
+                            f"partition {i} exported a {kind} event at "
+                            f"t={arrival} after the final exchange "
+                            f"(horizon {horizon})"
+                        )
+                    dropped_total += 1
+        barrier_wait += time.perf_counter() - waited
     finally:
-        for backend in backends:
-            backend.stop()
+        for runner in runners:
+            runner.stop()
 
     results.sort(key=lambda r: r["partition"])
     return PartitionedResult(
         spec_name=spec.name,
         partitions=n,
-        workers=workers if workers else 0,
+        workers=workers,
         mode=mode,
         lookahead=lookahead,
         windows=windows,
@@ -391,4 +478,7 @@ def run_partitioned(spec: ScenarioSpec, workers: int = 0) -> PartitionedResult:
         exports_delivered=delivered_total,
         exports_dropped=dropped_total,
         results=results,
+        runners=len(runners),
+        compute_seconds=compute,
+        barrier_wait_seconds=barrier_wait,
     )

@@ -20,9 +20,10 @@ surface the engine in :mod:`repro.partition.engine` drives:
 Everything is deterministic per partition: the simulator seed, the load
 model seed and every installed schedule derive from ``(spec.seed,
 partition index)``, and the process-global ID counters are reset at
-build — the serial orchestrator additionally scopes them per partition
-so one process running all partitions interleaved produces exactly what
-isolated worker processes produce.
+build — every runner (the orchestrator or a worker process)
+additionally scopes them per partition, so a process running a group of
+partitions interleaved produces exactly what one process per partition
+would.
 
 Host migration (the PR 5 ``state_dict`` contract as wire format): the
 home partition owns a host's schedule.  A move targeting a remote

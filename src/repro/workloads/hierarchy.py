@@ -32,9 +32,10 @@ out internally by :func:`repro.workloads.topology.build_campus` with
 destinations by first octet alone.
 
 :class:`RegistrationLoadModel` is the ~10^5–10^6-host load generator:
-it *models* hosts statistically (bulk-scheduled counter events on the
-PR 9 ``schedule_many`` fast path) rather than instantiating protocol
-objects, which is what makes million-host signaling curves measurable;
+it *models* hosts statistically (counter events walked by one
+self-advancing plan cursor, a single heap entry per campus) rather than
+instantiating protocol objects, which is what makes million-host
+signaling curves measurable;
 a handful of real :class:`~repro.core.mobile_host.MobileHost` objects
 ride alongside for protocol fidelity.
 """
@@ -42,7 +43,6 @@ ride alongside for protocol fidelity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 try:  # numpy is optional, same policy as repro.workloads.traffic
@@ -162,14 +162,17 @@ class RegistrationLoadModel:
     """Statistical mobile-host population for one campus partition.
 
     ``n_hosts`` modeled hosts each move ``moves_per_host`` times in
-    ``[start, horizon)``; every move is one pre-planned bulk event
-    (:meth:`~repro.netsim.simulator.Simulator.schedule_many`) that
-    charges the per-level signaling counters and, for cross-campus
-    moves, hands a small update record to ``exporter`` so the partition
-    engine carries it over the boundary like any other event.  The whole
-    schedule — times, destinations — is derived from ``seed`` with a
-    dedicated RNG before anything is scheduled, so serial and parallel
-    partitioned runs see byte-identical workloads.
+    ``[start, horizon)``; every move is one event that charges the
+    per-level signaling counters and, for cross-campus moves, hands a
+    small update record to ``exporter`` so the partition engine carries
+    it over the boundary like any other event.  The whole schedule —
+    times, destinations — is derived from ``seed`` with a dedicated RNG
+    before anything is scheduled, so serial and parallel partitioned
+    runs see byte-identical workloads.  The plan is walked by a cursor:
+    one bulk heap entry that runs move ``i`` and re-arms itself at the
+    time of move ``i + 1``
+    (:meth:`~repro.netsim.simulator.Simulator.schedule_bulk_at`), so the
+    queue holds one entry per campus, not one per modeled move.
 
     ``locality`` is the probability a move stays inside the campus
     (H-MLBN's locality parameter): higher locality keeps signaling at
@@ -208,6 +211,7 @@ class RegistrationLoadModel:
         self.updates_in = 0
         self._times: Optional[List[float]] = None
         self._dsts: Optional[List[int]] = None
+        self._cursor = 0
 
     # ------------------------------------------------------------------
     # Schedule generation (all randomness happens here, up front)
@@ -243,12 +247,22 @@ class RegistrationLoadModel:
         return times, dsts
 
     def install(self) -> int:
-        """Plan and bulk-schedule every modeled move; returns the count."""
+        """Plan every modeled move and arm the plan cursor at the first;
+        returns the number of moves planned."""
         times, dsts = self._plan()
         self._times, self._dsts = times, dsts
-        return self.sim.schedule_many(
-            (t, partial(self._move, dst)) for t, dst in zip(times, dsts)
-        )
+        self._cursor = 0
+        if times:
+            self.sim.schedule_bulk_at(times[0], self._advance)
+        return len(times)
+
+    def _advance(self) -> None:
+        """Run the move under the cursor, then re-arm at the next one."""
+        i = self._cursor
+        self._cursor = i + 1
+        self._move(self._dsts[i])
+        if i + 1 < len(self._times):
+            self.sim.schedule_bulk_at(self._times[i + 1], self._advance)
 
     # ------------------------------------------------------------------
     # Event bodies (the per-event hot path: a few increments)

@@ -48,6 +48,10 @@ class TestRun:
         # trace carries the byte-identity fingerprint
         assert set(result.trace) == {"trace", "health", "mobile_state"}
 
+    def test_partitioned_rejects_negative_workers(self):
+        with pytest.raises(ValueError, match="workers must be >= 0"):
+            run(partition_handoff_spec(), backend="partitioned", workers=-3)
+
     def test_seed_override_does_not_mutate_the_spec(self):
         spec = figure1_walkthrough_spec()
         result = run(spec, backend="sim", seed=7)
@@ -106,6 +110,19 @@ class TestCli:
         ) == 0
         out = capsys.readouterr().out
         assert "partitions: 4" in out
+
+    def test_run_main_partitioned_reports_sync_cost(self, capsys):
+        assert run_main(
+            ["partition-handoff", "--backend", "partitioned", "--workers", "2"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "compute [" in out and "barrier wait" in out
+
+    def test_run_main_rejects_negative_workers(self, capsys):
+        assert run_main(
+            ["partition-handoff", "--backend", "partitioned", "--workers", "-1"]
+        ) == 2
+        assert "workers must be >= 0" in capsys.readouterr().err
 
     def test_run_main_json(self, capsys):
         import json

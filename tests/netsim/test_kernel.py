@@ -245,6 +245,34 @@ class TestBulkQueueContract:
         with pytest.raises(SimulationError):
             sim.schedule_many([(1.0, lambda: None)])
 
+    def test_push_bulk_at_is_one_bulk_entry(self):
+        q = EventQueue()
+        q.push(1.0, lambda: None, label="real")
+        q.push_bulk_at(1.0, lambda: "bulk")
+        assert q.heap_size == 2 and len(q) == 2
+        assert q.pop().label == "real"
+        bulk = q.pop()
+        assert bulk.label == BULK_LABEL and bulk.sequence == 1
+        assert bulk.action() == "bulk"
+        with pytest.raises(SimulationError):
+            q.push_bulk_at(-1.0, lambda: None)
+
+    def test_schedule_bulk_at_rearms_a_cursor(self, sim):
+        times = [0.5, 0.5, 1.0, 3.0]
+        seen = []
+
+        def advance(i=0):
+            seen.append((sim.now, i))
+            if i + 1 < len(times):
+                sim.schedule_bulk_at(times[i + 1], partial(advance, i + 1))
+
+        sim.schedule_bulk_at(times[0], advance)
+        assert sim.queue.heap_size == 1
+        assert sim.run() == len(times)
+        assert seen == list(zip(times, range(len(times))))
+        with pytest.raises(SimulationError):
+            sim.schedule_bulk_at(1.0, lambda: None)
+
 
 # ----------------------------------------------------------------------
 # Queue counter snapshot round-trip (the _cancelled_pending regression)

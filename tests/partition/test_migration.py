@@ -12,7 +12,7 @@ import pickle
 
 import pytest
 
-from repro.partition import partition_handoff_spec, run_partitioned
+from repro.partition import engine, partition_handoff_spec, run_partitioned
 from repro.partition.runtime import PartitionRuntime
 from repro.workloads.hierarchy import HierarchyModel
 
@@ -70,8 +70,12 @@ class TestStateDictWireFormat:
 
 
 class TestMigrationUnderWorkers:
-    def test_round_trip_tour_completes_in_parallel(self):
+    def test_round_trip_tour_completes_in_parallel(self, monkeypatch):
+        # One partition per runner whatever the host's CPU count, so
+        # every migration crosses a process boundary.
+        monkeypatch.setattr(engine, "usable_cpus", lambda: 4)
         result = run_partitioned(partition_handoff_spec(), workers=4)
+        assert result.runners == 4
         by_partition = {r["partition"]: r for r in result.results}
         # Host 0 toured campus 1 and returned; host 5 visited campus 0
         # and returned to campus 2: two departures and two arrivals on
